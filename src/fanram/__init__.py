@@ -3,74 +3,20 @@
 Extraction of verified fan certificates from sufficiently large
 colorings, the matching and clique-cover machinery behind it, and
 brute-force oracles for desk-scale ground truth.
+
+The package namespace holds the names the README documents; everything
+else is imported from its submodule (fanram.covering, fanram.io, ...).
 """
 
-from .bitset import bit_list, bits, mask_of
-from .coloring import BLACK, WHITE, Color, Coloring, Context, context_of
-from .covering import (
-    CoverRecord,
-    SCRecord,
-    build_sc,
-    check_cover_invariants,
-    compute_cover,
-    cover_violation,
-    sc_violation,
-)
+from .coloring import BLACK, WHITE, Coloring
 from .errors import (
     ColoringFormatError,
-    ConstructionFailure,
     FanRamseyError,
-    InternalError,
     PreconditionViolated,
-    StructureSearchFailure,
     UnreachableBranch,
 )
-from .extractor import (
-    BlockerClique,
-    ExtractionTrace,
-    ResidueClique,
-    build_C_witness,
-    case_big3,
-    case_high_d,
-    case_mid,
-    case_t4,
-    case_two_cover,
-    extract_fan,
-    find_T_witness,
-    min_order,
-)
-from .io import load_coloring, parse_2col, parse_coloring, parse_graph6, save_2col, write_2col
-from .matching import (
-    DeficiencyCertificate,
-    Matching,
-    bipartite_maximum_matching,
-    greedy_maximal_matching,
-    max_deficiency_certificate,
-    maximum_matching_general,
-)
-from .oracle import (
-    EnumerationReport,
-    adversarial_coloring,
-    bipartite_lower_bound,
-    enumerate_colorings,
-    exhaustive_ramsey_check,
-    random_coloring,
-)
-from .rng import SplitMix64
-from .structures import (
-    CliqueWitness,
-    FanCertificate,
-    StructureWitness,
-    clique_violation,
-    fan_from_clique,
-    fan_violation,
-    find_clique,
-    find_mono_fan,
-    find_unavoidable_structure,
-    is_clique,
-    split_fan_blade_target,
-    split_graph_fan,
-    verify_fan,
-)
+from .extractor import ExtractionTrace, extract_fan
+from .oracle import enumerate_colorings, random_coloring
+from .structures import FanCertificate, find_mono_fan, verify_fan
 
 __version__ = "0.1.0"

@@ -27,6 +27,7 @@ from .matching import (
 from .structures import (
     CliqueWitness,
     FanCertificate,
+    _closure,
     _must_verify,
     clique_violation,
     is_clique,
@@ -80,13 +81,6 @@ class CoverRecord:
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True)
-
-
-def _closure(c: Coloring, col, S: int) -> int:
-    out = 0
-    for v in bits(S):
-        out |= c.neighborhood(v, col)
-    return out
 
 
 def sc_violation(c: Coloring, rec: SCRecord, n: int) -> str | None:

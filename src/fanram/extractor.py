@@ -11,8 +11,12 @@ UnreachableBranch when they do; one of those firing is a bug report, not
 an answer.
 
 All fractional thresholds are compared in exact rational arithmetic.
-Cases are written with black as the working color; perspective changes go
-through swap_colors and certificate colors are mapped back afterwards.
+The color of the d-witness is the one perspective boundary: the degree
+cases read it as black, so _faithful swaps the coloring once when the
+witness is white and maps the certificate color back on exit.  Every step
+below the degree cases takes its colors from the clique or cover it is
+handed (col, and opp = col.swap()) and builds its certificates directly
+in the coloring it receives.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .bitset import bit_list, bits, lowest, mask_of
-from .coloring import BLACK, WHITE, Coloring, Context, context_of
+from .coloring import BLACK, WHITE, Coloring, context_of
 from .covering import CoverRecord, compute_cover
 from .errors import InternalError, PreconditionViolated, UnreachableBranch
 from .matching import (
@@ -63,9 +67,10 @@ def _thr_big(n: int) -> Fraction:
 
 @dataclass(frozen=True)
 class BlockerClique:
-    """A black clique inside the last cover vertex's white neighborhood
-    whose white boundary into the first two shadows is small: its size
-    exceeds the boundary size by more than the threshold."""
+    """A clique in the cover's color inside the last cover vertex's
+    opposite neighborhood whose opposite boundary into the first two
+    shadows is small: its size exceeds the boundary size by more than the
+    threshold."""
 
     members: int
     boundary: int
@@ -74,8 +79,8 @@ class BlockerClique:
 
 @dataclass(frozen=True)
 class ResidueClique:
-    """The white clique left after deleting the blocker boundary and a
-    maximal black matching between the two shadows."""
+    """The opposite-color clique left after deleting the blocker boundary
+    and a maximal matching in the cover's color between the two shadows."""
 
     members: int
     removed_boundary: int
@@ -120,10 +125,6 @@ class ExtractionTrace:
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True)
-
-
-def _swap_cert(cert: FanCertificate) -> FanCertificate:
-    return FanCertificate(cert.color.swap(), cert.center, cert.blades, cert.n_claimed)
 
 
 class _FanBuilder:
@@ -172,6 +173,15 @@ class _FanBuilder:
             self.c, FanCertificate(self.color, self.center, tuple(self.blades[:n]), n)
         )
 
+    def finish(self, n: int, trace: ExtractionTrace, label: str, short: str, **details):
+        """The verified fan, traced as label; falling short of n blades is
+        the unreachable branch named short."""
+        cert = self.build(n)
+        if cert is None:
+            raise UnreachableBranch(short, blades=self.count(), **details)
+        trace.record(label, center=self.center)
+        return cert
+
 
 def extract_fan(
     c: Coloring, n: int, mode: str = "faithful"
@@ -217,16 +227,15 @@ def _faithful(c: Coloring, n: int, trace: ExtractionTrace) -> FanCertificate:
     ctx = context_of(c, n)
     w, col = ctx.d_witness
     trace.record("context", d=ctx.d, witness=w, witness_color=col.value)
+    cw = c if col is BLACK else c.swap_colors()
+    if ctx.d >= _thr_high(n):
+        cert = _high_d(cw, n, ctx.d, w, trace)
+    else:
+        band = "mid" if ctx.d >= _thr_low(n) else "low"
+        cert = _band_entry(cw, n, ctx.d, w, trace, band)
     if col is BLACK:
-        return _dispatch(c, n, ctx.d, w, trace)
-    return _swap_cert(_dispatch(c.swap_colors(), n, ctx.d, w, trace))
-
-
-def _dispatch(cw: Coloring, n: int, d: int, w: int, trace: ExtractionTrace):
-    if d >= _thr_high(n):
-        return _high_d(cw, n, d, w, trace)
-    band = "mid" if d >= _thr_low(n) else "low"
-    return _band_entry(cw, n, d, w, trace, band)
+        return cert
+    return FanCertificate(cert.color.swap(), cert.center, cert.blades, cert.n_claimed)
 
 
 def _high_d(cw: Coloring, n: int, d: int, w: int, trace: ExtractionTrace):
@@ -253,7 +262,7 @@ def _band_entry(
     cc = 3 * n + 4 - d
     if not (0 < cc < Fraction(5 * n, 8)) or H.bit_count() != 3 * n - cc + 4:
         raise UnreachableBranch(f"{band}.search_window", d=d, cc=cc)
-    sw = find_unavoidable_structure(cw, H, n, cc)
+    sw = find_unavoidable_structure(cw, BLACK, H, n, cc)
     trace.record(f"{band}.search", cc=cc, outcome=sw.kind)
     if sw.kind == "matching":
         return _must_verify(cw, FanCertificate(BLACK, w, sw.matching.edges, n))
@@ -263,43 +272,37 @@ def _band_entry(
 
 
 def _clique_pipeline(
-    cw: Coloring, n: int, clique: CliqueWitness, trace: ExtractionTrace, band: str
+    c: Coloring, n: int, clique: CliqueWitness, trace: ExtractionTrace, band: str
 ):
     """Route a discovered monochromatic clique: a huge clique is already a
     fan; otherwise cover it and dispatch on the cover length."""
-    if clique.color is WHITE:
-        return _swap_cert(
-            _clique_pipeline(
-                cw.swap_colors(), n, CliqueWitness(BLACK, clique.members), trace, band
-            )
-        )
     size = clique.size
     trace.record("clique", size=size, band=band)
     if size >= 2 * n + 1:
         trace.record("clique_fan")
-        return fan_from_clique(cw, clique, n)
-    cover = compute_cover(cw, clique, n, sink=trace.sink_for(cw))
+        return fan_from_clique(c, clique, n)
+    cover = compute_cover(c, clique, n, sink=trace.sink_for(c))
     if isinstance(cover, FanCertificate):
         trace.record("cover_fan")
         return cover
     trace.record("cover", t=cover.t, size=size)
     if cover.t >= 4:
-        return _t4(cw, n, clique, cover, trace)
+        return _t4(c, n, clique, cover, trace)
     if band == "high_d":
         raise UnreachableBranch("high_d.cover_t", t=cover.t, size=size)
     if band == "mid":
         if cover.t == 3:
-            return _tail34(cw, n, clique, cover, trace, "mid")
+            return _tail34(c, n, clique, cover, trace, "mid")
         raise UnreachableBranch("mid.cover_t", t=cover.t, size=size)
     if cover.t == 3:
         if size >= _thr_big(n):
-            return _tail34(cw, n, clique, cover, trace, "big3")
+            return _tail34(c, n, clique, cover, trace, "big3")
         raise UnreachableBranch("low.t3_not_big", size=size, n=n)
-    return _two_cover(cw, n, clique, cover, trace)
+    return _two_cover(c, n, clique, cover, trace)
 
 
 def _t4(
-    cw: Coloring,
+    c: Coloring,
     n: int,
     A: CliqueWitness,
     cover: CoverRecord,
@@ -308,7 +311,7 @@ def _t4(
     """Cover of length >= 4: the last cover vertex centers a fan in the
     opposite color whose blades pair up each earlier shadow internally."""
     vt = cover.sequence[-1][0]
-    fb = _FanBuilder(cw, A.color.swap(), vt)
+    fb = _FanBuilder(c, A.color.swap(), vt)
     for _, rec in cover.sequence[:-1]:
         fb.pair_within(rec.S)
     cert = fb.build(n)
@@ -321,44 +324,46 @@ def _t4(
 
 
 def _unbalanced_vertex(
-    cw: Coloring, n: int, A: CliqueWitness, vi: int, trace: ExtractionTrace
+    c: Coloring, n: int, A: CliqueWitness, vi: int, trace: ExtractionTrace
 ):
-    """A cover vertex with low black degree has a huge white neighborhood;
-    search it (in the white perspective) and convert every outcome."""
+    """A cover vertex with low degree in A's color has a huge opposite
+    neighborhood; search it with the opposite color as the working color
+    and convert every outcome."""
+    col = A.color
+    opp = col.swap()
     cc = n // 3 - 4
     need = 3 * n - cc + 4
-    NW = cw.neighborhood(vi, WHITE)
+    NW = c.neighborhood(vi, opp)
     if cc < 1 or NW.bit_count() < need:
         raise UnreachableBranch(
             "mid.unbalanced.window", vertex=vi, cc=cc, white_degree=NW.bit_count()
         )
     scope = mask_of(bit_list(NW)[:need])
-    sw = find_unavoidable_structure(cw.swap_colors(), scope, n, cc)
+    sw = find_unavoidable_structure(c, opp, scope, n, cc)
     trace.record("mid.unbalanced", vertex=vi, outcome=sw.kind)
     if sw.kind == "matching":
-        # a white matching under the original colors: blades for a white
-        # fan at vi, whose white neighborhood contains the scope
-        return _must_verify(
-            cw, FanCertificate(WHITE, vi, sw.matching.edges, n)
-        )
+        # an opp matching: blades for an opp fan at vi, whose opp
+        # neighborhood contains the scope
+        return _must_verify(c, FanCertificate(opp, vi, sw.matching.edges, n))
     if sw.kind == "complement_fan":
-        return _must_verify(cw, _swap_cert(sw.fan))
+        return sw.fan
     if sw.kind == "clique":
-        # black in the swapped perspective, so a white clique here; pair
-        # it against A, which is disjoint from the scope
+        # an opp clique; pair it against A, which is disjoint from the
+        # scope, with the black side first
         B = sw.clique.members
         if B & A.members:
-            raise InternalError("white-neighborhood clique meets the base clique")
+            raise InternalError("opposite-neighborhood clique meets the base clique")
         k = min(A.size, B.bit_count())
         sub_a = mask_of(bit_list(A.members)[:k])
         sub_b = mask_of(bit_list(B)[:k])
-        cert = split_graph_fan(cw, sub_a, sub_b)
+        black, white = (sub_a, sub_b) if col is BLACK else (sub_b, sub_a)
+        cert = split_graph_fan(c, black, white)
         if len(cert.blades) < n:
             raise UnreachableBranch(
                 "mid.unbalanced.split_short", blades=len(cert.blades), need=n
             )
         return _must_verify(
-            cw, FanCertificate(cert.color, cert.center, cert.blades[:n], n)
+            c, FanCertificate(cert.color, cert.center, cert.blades[:n], n)
         )
     raise UnreachableBranch(
         "mid.unbalanced.black_clique",
@@ -369,30 +374,32 @@ def _unbalanced_vertex(
 
 
 def _find_blocker(
-    cw: Coloring,
+    c: Coloring,
     n: int,
     cover: CoverRecord,
     threshold: Fraction,
     trace: ExtractionTrace,
     label: str,
 ):
-    """White fan at the last cover vertex, or the blocker clique that
-    obstructs it.
+    """Opp fan at the last cover vertex, or the blocker clique that
+    obstructs it (col is the cover's clique color, opp the other).
 
-    The fan takes a maximal white matching M inside T' (the white
-    neighborhood of v3 minus both shadows), a maximum white matching M'
+    The fan takes a maximal opp matching M inside T' (the opp
+    neighborhood of v3 minus both shadows), a maximum opp matching M'
     from the rest of T' into the shadows, and pairs up shadow leftovers.
     If that falls short of n blades, the Hall violator of the M' instance
-    is a black clique whose advantage over its white boundary exceeds the
+    is a col clique whose advantage over its opp boundary exceeds the
     threshold.
     """
+    col = cover.A.color
+    opp = col.swap()
     (v1, r1), (v2, r2), (v3, r3) = cover.sequence[:3]
     S12 = r1.S | r2.S
-    Tp = cw.neighborhood(v3, WHITE) & ~S12
-    M = greedy_maximal_matching(cw, WHITE, Tp)
+    Tp = c.neighborhood(v3, opp) & ~S12
+    M = greedy_maximal_matching(c, opp, Tp)
     X = Tp & ~M.vertex_mask()
-    Mp = bipartite_maximum_matching(cw, WHITE, X, S12)
-    fb = _FanBuilder(cw, WHITE, v3)
+    Mp = bipartite_maximum_matching(c, opp, X, S12)
+    fb = _FanBuilder(c, opp, v3)
     fb.add_edges(M.edges)
     fb.add_edges(Mp.edges)
     fb.pair_within(r1.S)
@@ -401,7 +408,7 @@ def _find_blocker(
     if cert is not None:
         trace.record(f"{label}.blocker_fan", center=v3)
         return cert
-    defc = max_deficiency_certificate(cw, WHITE, X, S12)
+    defc = max_deficiency_certificate(c, opp, X, S12)
     T, NT = defc.S, defc.NS
     if not T or T.bit_count() - NT.bit_count() <= threshold:
         raise UnreachableBranch(
@@ -409,20 +416,20 @@ def _find_blocker(
             deficiency=defc.deficiency,
             blades=fb.count(),
         )
-    if not is_clique(cw, BLACK, T):
-        raise InternalError("unmatched side of a maximal white matching not black")
+    if not is_clique(c, col, T):
+        raise InternalError("unmatched side of a maximal matching is not a clique")
     trace.record(
         f"{label}.blocker", size=T.bit_count(), boundary=NT.bit_count()
     )
     return BlockerClique(members=T, boundary=NT, threshold=threshold)
 
 
-def _greedy_bipartite_maximal(cw: Coloring, col, X: int, Y: int):
+def _greedy_bipartite_maximal(c: Coloring, col, X: int, Y: int):
     """Maximal (not maximum) matching between two sides, lexicographic."""
     edges = []
     avail_y = Y
     for x in bits(X):
-        cand = cw.neighborhood(x, col) & avail_y
+        cand = c.neighborhood(x, col) & avail_y
         if cand:
             y = lowest(cand)
             avail_y ^= 1 << y
@@ -431,7 +438,8 @@ def _greedy_bipartite_maximal(cw: Coloring, col, X: int, Y: int):
 
 
 def _build_residue(
-    cw: Coloring,
+    c: Coloring,
+    col,
     n: int,
     S1: int,
     S2: int,
@@ -439,11 +447,13 @@ def _build_residue(
     trace: ExtractionTrace,
     label: str,
 ):
-    """The large white clique carved out of the shadows, or the black fan
-    centered in the blocker that materializes when the carving is small."""
+    """The large opp clique carved out of the shadows, or the col fan
+    centered in the blocker that materializes when the carving is small
+    (col is the cover's clique color, the blocker's color)."""
+    opp = col.swap()
     T, NT = blocker.members, blocker.boundary
     S12 = S1 | S2
-    mb = _greedy_bipartite_maximal(cw, BLACK, S1 & ~NT, S2 & ~NT)
+    mb = _greedy_bipartite_maximal(c, col, S1 & ~NT, S2 & ~NT)
     removed = mask_of(v for e in mb for v in e)
     Cset = S12 & ~NT & ~removed
     size_t = T.bit_count()
@@ -455,15 +465,15 @@ def _build_residue(
             raise UnreachableBranch(
                 f"{label}.residue_sides", size=Cset.bit_count(), bound=bound
             )
-        if not is_clique(cw, WHITE, Cset):
-            raise InternalError("residue set is not a white clique")
+        if not is_clique(c, opp, Cset):
+            raise InternalError("residue set is not a clique")
         trace.record(f"{label}.residue", size=Cset.bit_count(), bound=bound)
         return ResidueClique(
             members=Cset, removed_boundary=NT, removed_matching=tuple(mb)
         )
-    # carving came out small: a black fan at any blocker vertex is due
+    # carving came out small: a col fan at any blocker vertex is due
     z = lowest(T)
-    fb = _FanBuilder(cw, BLACK, z)
+    fb = _FanBuilder(c, col, z)
     if size_t <= n + 3:
         fb.add_edges(mb)
         fb.pair_across(T, S12 & ~NT & ~removed)
@@ -471,13 +481,11 @@ def _build_residue(
     else:
         fb.pair_across(T, S12 & ~NT)
         fb.pair_within(T)
-    cert = fb.build(n)
-    if cert is not None:
-        trace.record(f"{label}.residue_fan", center=z)
-        return cert
-    raise UnreachableBranch(
+    return fb.finish(
+        n,
+        trace,
+        f"{label}.residue_fan",
         f"{label}.residue_count",
-        blades=fb.count(),
         blocker=size_t,
         boundary=NT.bit_count(),
         shadow_sum=S1.bit_count() + S2.bit_count(),
@@ -485,7 +493,7 @@ def _build_residue(
 
 
 def _tail34(
-    cw: Coloring,
+    c: Coloring,
     n: int,
     A: CliqueWitness,
     cover: CoverRecord,
@@ -497,9 +505,11 @@ def _tail34(
     variant "mid" is the band 8n/3+6 <= d < 11n/4+5 (larger clique,
     degree claim enforced constructively); "big3" is d < 8n/3+6 with a
     big clique.  Thresholds differ; the shape is the same: find the
-    blocker clique, carve the residue clique, then center a white fan at
+    blocker clique, carve the residue clique, then center an opp fan at
     a residue vertex inside one of the shadows.
     """
+    col = A.color
+    opp = col.swap()
     members = A.members
     (v1, r1), (v2, r2), (v3, r3) = cover.sequence
     S1, S2 = r1.S, r2.S
@@ -509,7 +519,7 @@ def _tail34(
         floor_deg = Fraction(5 * n, 2) + 5
         for vi, ri in cover.sequence:
             if ri.deg_v < floor_deg:
-                return _unbalanced_vertex(cw, n, A, vi, trace)
+                return _unbalanced_vertex(c, n, A, vi, trace)
         threshold = Fraction(5 * n, 12) + 6
         split = Fraction(n, 6)
     else:
@@ -518,22 +528,18 @@ def _tail34(
         marg3 = (C3 & ~(C1 | C2)).bit_count()
         if marg3 < Fraction(n, 6):
             # the third contact set adds little, so the first two shadows
-            # alone carry a white fan at v3
-            fb = _FanBuilder(cw, WHITE, v3)
+            # alone carry an opp fan at v3
+            fb = _FanBuilder(c, opp, v3)
             fb.pair_within(S1)
             fb.pair_within(S2)
-            cert = fb.build(n)
-            if cert is None:
-                raise UnreachableBranch(
-                    "big3.residual_count", blades=fb.count(), marg3=marg3
-                )
-            trace.record("big3.residual_fan", center=v3)
-            return cert
+            return fb.finish(
+                n, trace, "big3.residual_fan", "big3.residual_count", marg3=marg3
+            )
 
-    blocker = _find_blocker(cw, n, cover, threshold, trace, variant)
+    blocker = _find_blocker(c, n, cover, threshold, trace, variant)
     if isinstance(blocker, FanCertificate):
         return blocker
-    residue = _build_residue(cw, n, S1, S2, blocker, trace, variant)
+    residue = _build_residue(c, col, n, S1, S2, blocker, trace, variant)
     if isinstance(residue, FanCertificate):
         return residue
     Cm = residue.members
@@ -546,42 +552,30 @@ def _tail34(
                 s1=S1.bit_count(),
                 rest=(members & ~C1).bit_count(),
             )
-        fb = _FanBuilder(cw, WHITE, a1)
+        fb = _FanBuilder(c, opp, a1)
         fb.pair_across(members & ~C1, S1)
         fb.pair_within(S1)
         fb.pair_within(Cm & S2)
-        cert = fb.build(n)
-        if cert is None:
-            raise UnreachableBranch(f"{variant}.final1_count", blades=fb.count())
-        trace.record(f"{variant}.final1", center=a1)
-        return cert
+        return fb.finish(n, trace, f"{variant}.final1", f"{variant}.final1_count")
 
     a2 = lowest(Cm & S2)
     if variant == "big3" and C2.bit_count() < Fraction(5 * n, 18):
-        fb = _FanBuilder(cw, WHITE, a2)
+        fb = _FanBuilder(c, opp, a2)
         fb.pair_across(C3 & ~(C1 | C2), Cm & S1)
         fb.pair_within(Cm & S1)
         fb.pair_across(S2, members & ~C2)
         fb.pair_within(S2)
-        cert = fb.build(n)
-        if cert is None:
-            raise UnreachableBranch("big3.final3_count", blades=fb.count())
-        trace.record("big3.final3", center=a2)
-        return cert
+        return fb.finish(n, trace, "big3.final3", "big3.final3_count")
 
-    fb = _FanBuilder(cw, WHITE, a2)
+    fb = _FanBuilder(c, opp, a2)
     fb.pair_across(S2, members & ~C2)
     fb.pair_within(S2)
     fb.pair_within(Cm & S1)
-    cert = fb.build(n)
-    if cert is None:
-        raise UnreachableBranch(f"{variant}.final2_count", blades=fb.count())
-    trace.record(f"{variant}.final2", center=a2)
-    return cert
+    return fb.finish(n, trace, f"{variant}.final2", f"{variant}.final2_count")
 
 
 def _two_cover(
-    cw: Coloring,
+    c: Coloring,
     n: int,
     C0: CliqueWitness,
     cover2: CoverRecord,
@@ -597,42 +591,45 @@ def _two_cover(
     if total < target:
         raise UnreachableBranch("two_cover.shadow_sum", total=total, target=target)
     size_a = max(-(-target // 2), target - q2.S.bit_count())
+    # the shadows are independent in C0's color: the carved cliques live
+    # in the opposite color
+    carved = C0.color.swap()
     if size_a >= 2 * n + 1:
         trace.record("two_cover.shadow_fan")
         sub = mask_of(bit_list(q1.S)[: 2 * n + 1])
-        return fan_from_clique(cw, CliqueWitness(C0.color.swap(), sub), n)
+        return fan_from_clique(c, CliqueWitness(carved, sub), n)
     A = mask_of(bit_list(q1.S)[:size_a])
     B = mask_of(bit_list(q2.S)[: target - size_a])
     trace.record("two_cover.pair", a=size_a, b=target - size_a)
-    # the carved cliques live in the opposite color; normalize to black
-    if C0.color is BLACK:
-        return _swap_cert(_two_cover_core(cw.swap_colors(), n, A, B, trace))
-    return _two_cover_core(cw, n, A, B, trace)
+    return _two_cover_core(c, carved, n, A, B, trace)
 
 
 def _two_cover_core(
-    cs: Coloring, n: int, A: int, B: int, trace: ExtractionTrace
+    c: Coloring, col, n: int, A: int, B: int, trace: ExtractionTrace
 ):
-    Aw = CliqueWitness(BLACK, A)
-    cover_a = compute_cover(cs, Aw, n, sink=trace.sink_for(cs))
+    """Cover the two carved col cliques A and B, and center an opp fan in
+    the intersection of their first overlapping shadows."""
+    opp = col.swap()
+    Aw = CliqueWitness(col, A)
+    cover_a = compute_cover(c, Aw, n, sink=trace.sink_for(c))
     if isinstance(cover_a, FanCertificate):
         trace.record("two_cover.cover_a_fan")
         return cover_a
     if cover_a.t >= 4:
-        return _t4(cs, n, Aw, cover_a, trace)
+        return _t4(c, n, Aw, cover_a, trace)
     if cover_a.t == 3:
         # the carve was big, so a 3-cover re-enters the big-clique endgame
-        return _tail34(cs, n, Aw, cover_a, trace, "big3")
+        return _tail34(c, n, Aw, cover_a, trace, "big3")
 
     if B.bit_count() < n + 1:
         raise UnreachableBranch("two_cover.b_small", b=B.bit_count(), n=n)
-    Bw = CliqueWitness(BLACK, B)
-    cover_b = compute_cover(cs, Bw, n, sink=trace.sink_for(cs))
+    Bw = CliqueWitness(col, B)
+    cover_b = compute_cover(c, Bw, n, sink=trace.sink_for(c))
     if isinstance(cover_b, FanCertificate):
         trace.record("two_cover.cover_b_fan")
         return cover_b
     if cover_b.t >= 4:
-        return _t4(cs, n, Bw, cover_b, trace)
+        return _t4(c, n, Bw, cover_b, trace)
 
     v1, p1 = cover_a.sequence[0]
     hit = None
@@ -652,172 +649,20 @@ def _two_cover_core(
     a = lowest(pwi.S & p1.S)
 
     if (B & ~pwi.C).bit_count() >= Fraction(n, 3):
-        fb = _FanBuilder(cs, WHITE, a)
+        fb = _FanBuilder(c, opp, a)
         fb.pair_across(B & ~pwi.C, pwi.S, cap=-(-n // 3))
         fb.pair_across(A & ~p1.C, p1.S)
         fb.pair_within(p1.S)
         fb.pair_within(pwi.S)
-        cert = fb.build(n)
-        if cert is None:
-            raise UnreachableBranch("two_cover.wide_count", blades=fb.count())
-        trace.record("two_cover.fan_wide", center=a)
-        return cert
+        return fb.finish(n, trace, "two_cover.fan_wide", "two_cover.wide_count")
 
     inter = p1.S & pwi.S
     if inter.bit_count() >= Fraction(4 * n, 3) + 1:
-        # the shadow intersection is itself a big white clique; reroute it
-        return _swap_cert(
-            _clique_pipeline(
-                cs.swap_colors(), n, CliqueWitness(BLACK, inter), trace, "low"
-            )
-        )
-    fb = _FanBuilder(cs, WHITE, a)
+        # the shadow intersection is itself a big opp clique; reroute it
+        return _clique_pipeline(c, n, CliqueWitness(opp, inter), trace, "low")
+    fb = _FanBuilder(c, opp, a)
     fb.pair_across(B & ~pwi.C, pwi.S)
     fb.pair_across(A & ~p1.C, p1.S)
     fb.pair_within(p1.S)
     fb.pair_within(pwi.S)
-    cert = fb.build(n)
-    if cert is None:
-        raise UnreachableBranch("two_cover.tight_count", blades=fb.count())
-    trace.record("two_cover.fan_tight", center=a)
-    return cert
-
-
-# Spec-level case entry points.  Each validates its own band, normalizes
-# the perspective so the working color is black, and defers to the
-# internals above.
-
-
-def _need_trace(c: Coloring, ctx: Context, trace: ExtractionTrace | None):
-    return trace if trace is not None else ExtractionTrace(ctx.n, c.N, "case")
-
-
-def case_high_d(c: Coloring, ctx: Context, trace: ExtractionTrace | None = None):
-    if ctx.d < _thr_high(ctx.n):
-        raise PreconditionViolated(f"d={ctx.d} below the high band for n={ctx.n}")
-    trace = _need_trace(c, ctx, trace)
-    w, col = ctx.d_witness
-    if col is BLACK:
-        return _high_d(c, ctx.n, ctx.d, w, trace)
-    return _swap_cert(_high_d(c.swap_colors(), ctx.n, ctx.d, w, trace))
-
-
-def case_mid(c: Coloring, ctx: Context, trace: ExtractionTrace | None = None):
-    if not _thr_low(ctx.n) <= ctx.d < _thr_high(ctx.n):
-        raise PreconditionViolated(f"d={ctx.d} outside the mid band for n={ctx.n}")
-    trace = _need_trace(c, ctx, trace)
-    w, col = ctx.d_witness
-    if col is BLACK:
-        return _band_entry(c, ctx.n, ctx.d, w, trace, "mid")
-    return _swap_cert(
-        _band_entry(c.swap_colors(), ctx.n, ctx.d, w, trace, "mid")
-    )
-
-
-def case_t4(
-    c: Coloring,
-    ctx: Context,
-    A: CliqueWitness,
-    cover: CoverRecord,
-    trace: ExtractionTrace | None = None,
-):
-    if A.size < ctx.n + 1:
-        raise PreconditionViolated("clique is not significant")
-    if cover.t < 4:
-        raise PreconditionViolated(f"cover length {cover.t} below 4")
-    trace = _need_trace(c, ctx, trace)
-    return _t4(c, ctx.n, A, cover, trace)
-
-
-def case_big3(
-    c: Coloring,
-    ctx: Context,
-    A: CliqueWitness,
-    cover: CoverRecord | None = None,
-    trace: ExtractionTrace | None = None,
-):
-    if ctx.d >= _thr_low(ctx.n):
-        raise PreconditionViolated(f"d={ctx.d} not below the low band threshold")
-    if A.size < _thr_big(ctx.n):
-        raise PreconditionViolated("clique is not big")
-    trace = _need_trace(c, ctx, trace)
-    cw, Anorm, flip = _normalize_clique(c, A)
-    if cover is None:
-        got = compute_cover(cw, Anorm, ctx.n, sink=trace.sink_for(cw))
-        if isinstance(got, FanCertificate):
-            return _swap_cert(got) if flip else got
-        cover = got
-    if cover.t != 3:
-        raise PreconditionViolated(f"cover length {cover.t}, need 3")
-    cert = _tail34(cw, ctx.n, Anorm, cover, trace, "big3")
-    return _swap_cert(cert) if flip else cert
-
-
-def case_two_cover(c: Coloring, ctx: Context, trace: ExtractionTrace | None = None):
-    if ctx.d >= _thr_low(ctx.n):
-        raise PreconditionViolated(f"d={ctx.d} not below the low band threshold")
-    trace = _need_trace(c, ctx, trace)
-    w, col = ctx.d_witness
-    if col is BLACK:
-        return _band_entry(c, ctx.n, ctx.d, w, trace, "low")
-    return _swap_cert(
-        _band_entry(c.swap_colors(), ctx.n, ctx.d, w, trace, "low")
-    )
-
-
-def find_T_witness(
-    c: Coloring,
-    ctx: Context,
-    A: CliqueWitness,
-    cover: CoverRecord,
-    threshold: Fraction,
-    trace: ExtractionTrace | None = None,
-):
-    """White fan at the third cover vertex, or the blocker clique whose
-    deficiency exceeds the threshold."""
-    if cover.t != 3:
-        raise PreconditionViolated(f"cover length {cover.t}, need 3")
-    trace = _need_trace(c, ctx, trace)
-    cw, Anorm, flip = _normalize_clique(c, A)
-    if flip:
-        cover = _flip_cover(cover, Anorm)
-    out = _find_blocker(cw, ctx.n, cover, threshold, trace, "blocker")
-    if isinstance(out, FanCertificate) and flip:
-        return _swap_cert(out)
-    return out
-
-
-def build_C_witness(
-    c: Coloring,
-    ctx: Context,
-    S1: int,
-    S2: int,
-    tw: BlockerClique,
-    trace: ExtractionTrace | None = None,
-):
-    """Residue clique carved from the shadows, or the black fan centered
-    in the blocker."""
-    trace = _need_trace(c, ctx, trace)
-    return _build_residue(c, ctx.n, S1, S2, tw, trace, "residue")
-
-
-def _normalize_clique(c: Coloring, A: CliqueWitness):
-    if A.color is BLACK:
-        return c, A, False
-    return c.swap_colors(), CliqueWitness(BLACK, A.members), True
-
-
-def _flip_cover(cover: CoverRecord, Anorm: CliqueWitness) -> CoverRecord:
-    from dataclasses import replace
-
-    seq = tuple(
-        (v, replace(rec, clique=Anorm, M=_flip_matching(rec.M), Mp=_flip_matching(rec.Mp)))
-        for v, rec in cover.sequence
-    )
-    return CoverRecord(A=Anorm, t=cover.t, sequence=seq)
-
-
-def _flip_matching(m):
-    from .matching import Matching
-
-    return Matching(m.color.swap(), m.edges)
+    return fb.finish(n, trace, "two_cover.fan_tight", "two_cover.tight_count")

@@ -11,8 +11,9 @@ are the complement.
 from __future__ import annotations
 
 import os
+from math import isqrt
 
-from .coloring import BLACK, Coloring, all_pairs
+from .coloring import BLACK, Coloring
 from .errors import ColoringFormatError
 
 
@@ -42,7 +43,9 @@ def parse_2col(text: str) -> Coloring:
         raise ColoringFormatError(f"bad vertex count {N}", line=1)
 
     need = N * (N - 1) // 2
-    pairs = all_pairs(N)
+    # entries are counted first, so a body too short for its header is
+    # only validated, never built into bits
+    short = sum(line.count("B") + line.count("W") for line in lines[1:]) < need
     bits = 0
     k = 0
     for lineno, line in enumerate(lines[1:], start=2):
@@ -57,16 +60,25 @@ def parse_2col(text: str) -> Coloring:
                 raise ColoringFormatError(
                     f"more than {need} pair entries", line=lineno, offset=offset
                 )
-            if ch == "B":
+            if ch == "B" and not short:
                 bits |= 1 << k
             k += 1
     if k < need:
-        u, v = pairs[k] if need else (0, 0)
+        u, v = _pair_at(N, k)
         raise ColoringFormatError(
             f"only {k} of {need} pair entries; first missing pair is ({u},{v})",
             line=len(lines),
         )
     return Coloring.from_pair_bits(N, bits)
+
+
+def _pair_at(N: int, k: int) -> tuple[int, int]:
+    """The k-th pair in canonical order, without listing the pairs before
+    it: counted from the end, row N-2-j holds the j+1 pairs with reverse
+    index in [j(j+1)/2, (j+1)(j+2)/2)."""
+    r = N * (N - 1) // 2 - 1 - k
+    j = (isqrt(8 * r + 1) - 1) // 2
+    return N - 2 - j, N - 1 - (r - j * (j + 1) // 2)
 
 
 def parse_graph6(text: str) -> Coloring:

@@ -32,13 +32,3 @@ class SplitMix64:
 
     def next_float(self) -> float:
         return (self.next_u64() >> 11) * 2.0**-53
-
-    def next_below(self, bound: int) -> int:
-        """Uniform int in [0, bound) by rejection on the top bits."""
-        if bound <= 0:
-            raise ValueError("bound must be positive")
-        span = (_MASK + 1) - (_MASK + 1) % bound
-        while True:
-            u = self.next_u64()
-            if u < span:
-                return u % bound

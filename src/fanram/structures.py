@@ -141,6 +141,14 @@ def fan_from_clique(c: Coloring, w: CliqueWitness, n: int) -> FanCertificate:
     return cert
 
 
+def _closure(c: Coloring, col: Color, S: int) -> int:
+    """All vertices joined to some member of S by a col pair."""
+    out = 0
+    for v in bits(S):
+        out |= c.neighborhood(v, col)
+    return out
+
+
 def _must_verify(c: Coloring, cert: FanCertificate) -> FanCertificate:
     violation = fan_violation(c, cert)
     if violation is not None:
@@ -227,10 +235,10 @@ def find_clique(
 class StructureWitness:
     """Tagged outcome of find_unavoidable_structure.
 
-    kind is one of "matching" (n disjoint black edges), "complement_fan"
-    (a white fan with n blades), "clique" (black, 2n-2cc vertices) or
-    "complement_clique" (white, same size).  Black here means the color
-    the search was applied in.
+    kind is one of "matching" (n disjoint edges of the search color),
+    "complement_fan" (a fan with n blades in the opposite color), "clique"
+    (search color, 2n-2cc vertices) or "complement_clique" (opposite
+    color, same size).
     """
 
     kind: str
@@ -240,12 +248,12 @@ class StructureWitness:
 
 
 def find_unavoidable_structure(
-    c: Coloring, scope: int, n: int, cc: int
+    c: Coloring, col: Color, scope: int, n: int, cc: int
 ) -> StructureWitness:
     """Search a scope of exactly 3n - cc + 4 vertices (0 < cc < 5n/8) for,
-    in fixed priority order: a black matching of n edges, a white fan with
-    n blades, a black clique on 2n - 2cc vertices, or a white clique on
-    2n - 2cc vertices.
+    in fixed priority order: a col matching of n edges, a fan with n
+    blades in the opposite color, a col clique on 2n - 2cc vertices, or an
+    opposite-color clique on 2n - 2cc vertices.
 
     At these sizes at least one of the four always exists, so exhausting
     all four raises StructureSearchFailure, which indicates a bug or a
@@ -258,20 +266,20 @@ def find_unavoidable_structure(
             f"scope has {scope.bit_count()} vertices, need {3 * n - cc + 4}"
         )
 
-    m = maximum_matching_general(c, BLACK, scope, stop_at=n)
+    m = maximum_matching_general(c, col, scope, stop_at=n)
     if m.size >= n:
-        return StructureWitness("matching", matching=Matching(BLACK, m.edges[:n]))
+        return StructureWitness("matching", matching=Matching(col, m.edges[:n]))
 
-    fan = find_mono_fan(c, WHITE, n, scope)
+    fan = find_mono_fan(c, col.swap(), n, scope)
     if fan is not None:
         return StructureWitness("complement_fan", fan=fan)
 
     target = 2 * n - 2 * cc
-    clique = find_clique(c, BLACK, target, scope)
+    clique = find_clique(c, col, target, scope)
     if clique is not None:
         return StructureWitness("clique", clique=clique)
 
-    clique = find_clique(c, WHITE, target, scope)
+    clique = find_clique(c, col.swap(), target, scope)
     if clique is not None:
         return StructureWitness("complement_clique", clique=clique)
 
@@ -335,7 +343,7 @@ def split_graph_fan(c: Coloring, A: int, B: int) -> FanCertificate:
         raise ConstructionFailure("matching branch short yet no Hall violator")
     u = lowest(U)
     partners = bit_list(U & ~(1 << u))
-    free_a = bit_list(A & ~_black_closure(c, U))
+    free_a = bit_list(A & ~_closure(c, BLACK, U))
     blades = list(zip(free_a, partners))
     used = mask_of(v for e in blades for v in e) | 1 << u
     rest = bit_list(B & ~used)
@@ -346,10 +354,3 @@ def split_graph_fan(c: Coloring, A: int, B: int) -> FanCertificate:
         )
     cert = FanCertificate(WHITE, u, tuple(blades), target)
     return _must_verify(c, cert)
-
-
-def _black_closure(c: Coloring, S: int) -> int:
-    out = 0
-    for v in bits(S):
-        out |= c.neighborhood(v, BLACK)
-    return out

@@ -175,7 +175,7 @@ def test_criterion_7_unavoidable_structure_search():
         size = 3 * n - cc + 4
         c = random_coloring(size, seed, (0.15, 0.5, 0.85)[seed % 3])
         try:
-            w = find_unavoidable_structure(c, c.vertex_mask, n, cc)
+            w = find_unavoidable_structure(c, BLACK, c.vertex_mask, n, cc)
         except StructureSearchFailure:
             failures += 1
             continue

@@ -95,6 +95,15 @@ def test_malformed_2col_reports_position(tmp_path):
     assert res.payload["offset"] == 1
 
 
+def test_huge_2col_header_is_format_error(tmp_path):
+    path = tmp_path / "hostile.2col"
+    path.write_bytes(b"p 2col 3000000\nB")
+    res = run(["extract", "--in", str(path), "--n", "1"])
+    assert res.exit_code == 2
+    assert res.payload["error"] == "format"
+    assert "first missing pair is (0,2)" in res.payload["message"]
+
+
 def test_missing_file_is_usage_error():
     res = run(["extract", "--in", "/no/such/file.2col", "--n", "3"])
     assert res.exit_code == 2

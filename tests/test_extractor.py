@@ -10,18 +10,15 @@ from fanram.covering import CoverRecord, SCRecord, compute_cover
 from fanram.errors import PreconditionViolated, UnreachableBranch
 from fanram.extractor import (
     BlockerClique,
-    ResidueClique,
-    _tail34,
-    _t4,
     ExtractionTrace,
-    build_C_witness,
-    case_big3,
-    case_high_d,
-    case_mid,
-    case_t4,
-    case_two_cover,
+    ResidueClique,
+    _build_residue,
+    _clique_pipeline,
+    _find_blocker,
+    _t4,
+    _tail34,
+    _two_cover,
     extract_fan,
-    find_T_witness,
     min_order,
 )
 from fanram.matching import Matching
@@ -126,9 +123,6 @@ def test_mid_band_dispatch_on_regular_circulant():
     cert, trace = extract_fan(c, 15, mode="faithful")
     assert verify_fan(c, cert)
     assert "mid.search" in trace.labels()
-    # the spec-level case entry agrees
-    cert2 = case_mid(c, ctx)
-    assert verify_fan(c, cert2)
 
 
 def test_low_band_dispatch_on_regular_circulant():
@@ -138,26 +132,31 @@ def test_low_band_dispatch_on_regular_circulant():
     cert, trace = extract_fan(c, 16, mode="faithful")
     assert verify_fan(c, cert)
     assert "low.search" in trace.labels()
-    cert2 = case_two_cover(c, ctx)
-    assert verify_fan(c, cert2)
 
 
-def test_case_wrappers_validate_bands():
-    c = Coloring.complete(46, BLACK)
-    ctx = context_of(c, 6)  # d = 45, far above every low threshold
-    with pytest.raises(PreconditionViolated):
-        case_mid(c, ctx)
-    with pytest.raises(PreconditionViolated):
-        case_two_cover(c, ctx)
+def test_extract_dispatch_follows_d_band():
+    # the d band alone picks the case, whichever color the witness has
+    mid = circulant(92, list(range(1, 23)) + [46])
     low = circulant(97, range(1, 25))
-    with pytest.raises(PreconditionViolated):
-        case_high_d(low, context_of(low, 16))
+    for c, n, step in (
+        (mid, 15, "mid.search"),
+        (mid.swap_colors(), 15, "mid.search"),
+        (low, 16, "low.search"),
+        (low.swap_colors(), 16, "low.search"),
+    ):
+        cert, trace = extract_fan(c, n, mode="faithful")
+        assert verify_fan(c, cert)
+        assert trace.labels() == ["context", step]
 
 
 def test_case_high_d_direct():
-    c = Coloring.complete(46, BLACK)
-    cert = case_high_d(c, context_of(c, 6))
-    assert verify_fan(c, cert)
+    # d = 45 at n=6 is far above every band threshold: the high-d case
+    # answers at once in either witness color and never reaches big3
+    for col in (BLACK, WHITE):
+        c = Coloring.complete(46, col)
+        cert, trace = extract_fan(c, 6, mode="faithful")
+        assert cert.color is col and verify_fan(c, cert)
+        assert trace.labels() == ["context", "high_d.matching"]
 
 
 def test_high_d_white_fan_fallback():
@@ -180,13 +179,14 @@ def test_case_t4_on_cover_gadget():
     c, A = cover_gadget(4, 3, 8, 11)
     cover = compute_cover(c, A, 11)
     assert isinstance(cover, CoverRecord) and cover.t == 4
-    ctx = context_of(c, 11)
-    cert = case_t4(c, ctx, A, cover)
+    cert = _t4(c, 11, A, cover, ExtractionTrace(11, c.N, "case"))
     assert verify_fan(c, cert)
     assert cert.color is WHITE
     assert cert.center == cover.sequence[-1][0]
-    with pytest.raises(PreconditionViolated):
-        case_t4(c, ctx, A, CoverRecord(A, 3, cover.sequence[:3]))
+    # the pipeline routes this cover to the same step
+    trace = ExtractionTrace(11, c.N, "case")
+    assert _clique_pipeline(c, 11, A, trace, "low") == cert
+    assert trace.labels() == ["clique", "cover", "t4"]
 
 
 def test_case_t4_unreachable_when_shadows_stripped():
@@ -220,11 +220,16 @@ def _fake_cover(A, s1, s2, c1, c2, c3):
     return CoverRecord(A=A, t=3, sequence=(rec(0, s1, c1), rec(1, s2, c2), rec(2, 0, c3)))
 
 
+def _blocker(c, cover):
+    trace = ExtractionTrace(7, c.N, "case")
+    return _find_blocker(c, 7, cover, Fraction(5 * 7, 12) + 6, trace, "mid")
+
+
 def test_find_T_witness_returns_blocker():
     c, S1, S2, T = blocker_fixture(6, cross_black=False)
     A = CliqueWitness(BLACK, 0b111)
     cover = _fake_cover(A, S1, S2, 1 << 0, 1 << 1, 1 << 2)
-    out = find_T_witness(c, context_of(c, 7), A, cover, Fraction(5 * 7, 12) + 6)
+    out = _blocker(c, cover)
     assert isinstance(out, BlockerClique)
     assert out.members == T
     assert out.boundary == 0
@@ -235,7 +240,7 @@ def test_find_T_witness_returns_fan_when_shadows_are_rich():
     c, S1, S2, _ = blocker_fixture(8, cross_black=False)
     A = CliqueWitness(BLACK, 0b111)
     cover = _fake_cover(A, S1, S2, 1 << 0, 1 << 1, 1 << 2)
-    out = find_T_witness(c, context_of(c, 7), A, cover, Fraction(5 * 7, 12) + 6)
+    out = _blocker(c, cover)
     assert isinstance(out, FanCertificate)
     assert out.center == 2 and out.color is WHITE
     assert verify_fan(c, out)
@@ -248,24 +253,28 @@ def test_find_T_witness_white_perspective():
     cs = c.swap_colors()
     A = CliqueWitness(WHITE, 0b111)
     cover = _fake_cover(A, S1, S2, 1 << 0, 1 << 1, 1 << 2)
-    out = find_T_witness(cs, context_of(cs, 7), A, cover, Fraction(5 * 7, 12) + 6)
+    out = _blocker(cs, cover)
     assert isinstance(out, BlockerClique)
     assert out.members == T
 
 
 def test_find_T_witness_requires_three_cover():
-    c, S1, S2, _ = blocker_fixture(6, cross_black=False)
-    A = CliqueWitness(BLACK, 0b111)
-    cover = _fake_cover(A, S1, S2, 1 << 0, 1 << 1, 1 << 2)
-    short = CoverRecord(A, 2, cover.sequence[:2])
-    with pytest.raises(PreconditionViolated):
-        find_T_witness(c, context_of(c, 7), A, short, Fraction(1))
+    # the pipeline reaches the blocker search only through the 3-cover
+    # endgame
+    for args, t in (((4, 3, 8, 11), 4), ((2, 7, 4, 12), 2), ((3, 9, 3, 18), 3)):
+        c, A = cover_gadget(*args)
+        trace = ExtractionTrace(args[3], c.N, "case")
+        assert verify_fan(c, _clique_pipeline(c, args[3], A, trace, "low"))
+        assert trace.steps[1] == {"case": "cover", "t": t, "size": A.size}
+        blocker_steps = [x for x in trace.labels() if ".blocker" in x]
+        assert blocker_steps == (["big3.blocker_fan"] if t == 3 else [])
 
 
 def test_build_C_witness_residue():
     c, S1, S2, T = blocker_fixture(6, cross_black=False)
     blocker = BlockerClique(members=T, boundary=0, threshold=Fraction(8))
-    out = build_C_witness(c, context_of(c, 7), S1, S2, blocker)
+    trace = ExtractionTrace(7, c.N, "case")
+    out = _build_residue(c, BLACK, 7, S1, S2, blocker, trace, "mid")
     assert isinstance(out, ResidueClique)
     assert out.members == S1 | S2
     assert out.removed_matching == ()
@@ -274,7 +283,8 @@ def test_build_C_witness_residue():
 def test_build_C_witness_black_fan_when_carving_fails():
     c, S1, S2, T = blocker_fixture(6, cross_black=True)
     blocker = BlockerClique(members=T, boundary=0, threshold=Fraction(8))
-    out = build_C_witness(c, context_of(c, 7), S1, S2, blocker)
+    trace = ExtractionTrace(7, c.N, "case")
+    out = _build_residue(c, BLACK, 7, S1, S2, blocker, trace, "mid")
     assert isinstance(out, FanCertificate)
     assert out.color is BLACK
     assert T >> out.center & 1
@@ -312,8 +322,6 @@ def test_tail34_residual_fan_when_third_contact_is_marginal():
 def test_two_cover_carves_and_resolves():
     # a two-step cover at n=12: the carved clique's own shadow
     # construction finds the fan while covering
-    from fanram.extractor import _two_cover
-
     c, A = cover_gadget(2, 7, 4, 12)
     cover = compute_cover(c, A, 12)
     assert isinstance(cover, CoverRecord) and cover.t == 2
@@ -327,8 +335,6 @@ def test_two_cover_carves_and_resolves():
 def test_two_cover_shadow_fan_branch():
     # at n=9 the carve target exceeds 2n+1, so one shadow already holds a
     # whole fan as a white clique
-    from fanram.extractor import _two_cover
-
     c, A = cover_gadget(2, 5, 5, 9)
     cover = compute_cover(c, A, 9)
     assert isinstance(cover, CoverRecord) and cover.t == 2
@@ -339,11 +345,64 @@ def test_two_cover_shadow_fan_branch():
     assert "two_cover.shadow_fan" in trace.labels()
 
 
-def test_case_big3_wrapper_validates():
-    c = Coloring.complete(46, BLACK)
-    ctx = context_of(c, 6)
-    with pytest.raises(PreconditionViolated):
-        case_big3(c, ctx, CliqueWitness(BLACK, (1 << 13) - 1))
+def _pipeline_on_gadget(groups, group_size, blob, n):
+    c, A = cover_gadget(groups, group_size, blob, n)
+
+    def run(cc, col):
+        trace = ExtractionTrace(n, cc.N, "case")
+        out = _clique_pipeline(cc, n, CliqueWitness(col, A.members), trace, "low")
+        return out, trace
+
+    return c, run
+
+
+def _blocker_then_residue(s1_size, cross_black):
+    c, S1, S2, _ = blocker_fixture(s1_size, cross_black=cross_black)
+    n = 7
+
+    def run(cc, col):
+        trace = ExtractionTrace(n, cc.N, "case")
+        cover = _fake_cover(CliqueWitness(col, 0b111), S1, S2, 1 << 0, 1 << 1, 1 << 2)
+        out = _find_blocker(cc, n, cover, Fraction(5 * n, 12) + 6, trace, "mid")
+        if isinstance(out, BlockerClique):
+            out = _build_residue(cc, col, n, S1, S2, out, trace, "mid")
+        return out, trace
+
+    return c, run
+
+
+@pytest.mark.parametrize(
+    "make, args",
+    [
+        (_pipeline_on_gadget, (4, 3, 8, 11)),
+        (_pipeline_on_gadget, (2, 7, 4, 12)),
+        (_pipeline_on_gadget, (2, 5, 5, 9)),
+        (_pipeline_on_gadget, (3, 9, 3, 18)),
+        (_blocker_then_residue, (6, False)),
+        (_blocker_then_residue, (6, True)),
+        (_blocker_then_residue, (8, False)),
+    ],
+    ids=[
+        "t4",
+        "two_cover.cover_a_fan",
+        "two_cover.shadow_fan",
+        "big3.blocker_fan",
+        "blocker.residue",
+        "blocker.residue_fan",
+        "blocker_fan",
+    ],
+)
+def test_steps_are_color_symmetric(make, args):
+    # a black clique in c and a white clique in the swapped coloring take
+    # the same steps to the same fan, in the opposite color
+    c, run = make(*args)
+    out_b, trace_b = run(c, BLACK)
+    out_w, trace_w = run(c.swap_colors(), WHITE)
+    if isinstance(out_b, FanCertificate):
+        assert verify_fan(c, out_b)
+        out_b = replace(out_b, color=out_b.color.swap())
+    assert out_w == out_b
+    assert trace_w.steps == trace_b.steps
 
 
 def test_trace_json_shape():

@@ -54,6 +54,19 @@ def test_2col_too_few_and_too_many():
         parse_2col("p 2col 3\nBB\n")
     with pytest.raises(ColoringFormatError):
         parse_2col("p 2col 3\nBBBB\n")
+    with pytest.raises(ColoringFormatError, match=r"first missing pair is \(1,3\)"):
+        parse_2col("p 2col 4\nBBB\nW\n")
+
+
+def test_2col_huge_header_short_body():
+    # 16 bytes declaring N = 3e6: rejected from the entry count alone,
+    # without listing the 4.5e12 pairs the header promises
+    text = "p 2col 3000000\nB"
+    assert len(text.encode()) == 16
+    with pytest.raises(ColoringFormatError) as exc:
+        parse_2col(text)
+    assert "only 1 of 4499998500000 pair entries" in str(exc.value)
+    assert "first missing pair is (0,2)" in str(exc.value)
 
 
 def test_graph6_against_networkx():

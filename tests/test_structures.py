@@ -159,14 +159,14 @@ def test_fan_from_clique():
 
 def test_structure_search_all_black():
     scope = (1 << 14) - 1
-    w = find_unavoidable_structure(Coloring.complete(14, BLACK), scope, 4, 2)
+    w = find_unavoidable_structure(Coloring.complete(14, BLACK), BLACK, scope, 4, 2)
     assert w.kind == "matching"
     assert w.matching.size == 4
 
 
 def test_structure_search_all_white():
     c = Coloring.complete(14, WHITE)
-    w = find_unavoidable_structure(c, (1 << 14) - 1, 4, 2)
+    w = find_unavoidable_structure(c, BLACK, (1 << 14) - 1, 4, 2)
     assert w.kind == "complement_fan"
     assert verify_fan(c, w.fan)
     assert w.fan.color is WHITE
@@ -175,11 +175,11 @@ def test_structure_search_all_white():
 def test_structure_search_preconditions():
     c = Coloring.complete(14, BLACK)
     with pytest.raises(PreconditionViolated):
-        find_unavoidable_structure(c, (1 << 14) - 1, 4, 0)
+        find_unavoidable_structure(c, BLACK, (1 << 14) - 1, 4, 0)
     with pytest.raises(PreconditionViolated):
-        find_unavoidable_structure(c, (1 << 13) - 1, 4, 2)
+        find_unavoidable_structure(c, BLACK, (1 << 13) - 1, 4, 2)
     with pytest.raises(PreconditionViolated):
-        find_unavoidable_structure(c, (1 << 14) - 1, 4, 3)
+        find_unavoidable_structure(c, BLACK, (1 << 14) - 1, 4, 3)
 
 
 def _verified_structure(c, w, n, cc):
@@ -208,7 +208,7 @@ def test_structure_search_randomized():
         cc = 1 + seed % max(1, (5 * n) // 8 - 1)
         size = 3 * n - cc + 4
         c = random_coloring(size, seed, (0.15, 0.5, 0.85)[seed % 3])
-        w = find_unavoidable_structure(c, c.vertex_mask, n, cc)
+        w = find_unavoidable_structure(c, BLACK, c.vertex_mask, n, cc)
         _verified_structure(c, w, n, cc)
 
 
