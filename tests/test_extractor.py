@@ -159,6 +159,21 @@ def test_case_high_d_direct():
         assert trace.labels() == ["context", "high_d.matching"]
 
 
+def test_case_big3_wrapper_validates():
+    # big3 needs d below the low threshold and a big clique: a 3-step
+    # cover of a 9-clique at n=6 (big means >= 7n/6+5 = 12) reaches big3
+    # neither from the high-d band nor from the low band, in either color
+    c, A = cover_gadget(3, 3, 2, 6)
+    for cw, clique in ((c, A), (c.swap_colors(), CliqueWitness(WHITE, A.members))):
+        cover = compute_cover(cw, clique, 6)
+        assert isinstance(cover, CoverRecord) and cover.t == 3
+        for band, label in (("high_d", "high_d.cover_t"), ("low", "low.t3_not_big")):
+            trace = ExtractionTrace(6, cw.N, "case")
+            with pytest.raises(UnreachableBranch, match=label):
+                _clique_pipeline(cw, 6, clique, trace, band)
+            assert not any(s.startswith("big3") for s in trace.labels())
+
+
 def test_high_d_white_fan_fallback():
     # a black star over an otherwise white graph: the witness has full
     # black degree but its neighborhood is black-matching-free, so the
