@@ -43,12 +43,6 @@ def all_pairs(N: int) -> tuple[tuple[int, int], ...]:
     return tuple((u, v) for u in range(N) for v in range(u + 1, N))
 
 
-def pair_index(u: int, v: int, N: int) -> int:
-    if u > v:
-        u, v = v, u
-    return u * N - u * (u + 1) // 2 + (v - u - 1)
-
-
 class Coloring:
     """A 2-coloring of the complete graph on N vertices."""
 

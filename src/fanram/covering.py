@@ -22,7 +22,6 @@ from .matching import (
     bipartite_maximum_matching,
     greedy_maximal_matching,
     max_deficiency_certificate,
-    maximum_matching_general,
 )
 from .structures import (
     CliqueWitness,
@@ -122,20 +121,15 @@ def sc_violation(c: Coloring, rec: SCRecord, n: int) -> str | None:
 
 
 def build_sc(
-    c: Coloring,
-    A: CliqueWitness,
-    v: int,
-    n: int,
-    *,
-    m_mode: str = "maximal",
+    c: Coloring, A: CliqueWitness, v: int, n: int
 ) -> SCRecord | FanCertificate:
     """Construct S(v, A) and C(v, A), or the fan that preempts them.
 
-    The fan attempt takes the matching M inside N(v) outside A, the
-    bipartite matching Mp back into A, and pairs up the rest of A; when
-    that reaches n blades there is nothing left to record.  Otherwise the
-    Hall violator of the Mp instance, pruned to inclusion-minimality,
-    becomes S.  m_mode picks greedy-maximal (default) or maximum M.
+    The fan attempt takes the greedy maximal matching M inside N(v)
+    outside A, the maximum bipartite matching Mp back into A, and pairs up
+    the rest of A; when that reaches n blades there is nothing left to
+    record.  Otherwise the Hall violator of the Mp instance, pruned to
+    inclusion-minimality, becomes S.
     """
     col = A.color
     members = A.members
@@ -150,12 +144,7 @@ def build_sc(
 
     nb = c.neighborhood(v, col)
     outside = nb & ~members
-    if m_mode == "maximal":
-        M = greedy_maximal_matching(c, col, outside)
-    elif m_mode == "maximum":
-        M = maximum_matching_general(c, col, outside)
-    else:
-        raise PreconditionViolated(f"unknown m_mode {m_mode!r}")
+    M = greedy_maximal_matching(c, col, outside)
     X = outside & ~M.vertex_mask()
     Y = members & ~(1 << v)
     Mp = bipartite_maximum_matching(c, col, X, Y)
@@ -167,7 +156,7 @@ def build_sc(
         return _must_verify(c, FanCertificate(col, v, tuple(blades[:n]), n))
 
     target = deg + 1 - 2 * n
-    defc = max_deficiency_certificate(c, col, X, Y)
+    defc = max_deficiency_certificate(c, Mp, X, Y)
     if defc.deficiency < target:
         raise InternalError(
             f"no fan at {v} yet deficiency {defc.deficiency} < {target}"
@@ -206,7 +195,6 @@ def compute_cover(
     A: CliqueWitness,
     n: int,
     *,
-    m_mode: str = "maximal",
     sink=None,
 ) -> CoverRecord | FanCertificate:
     """Greedy cover of A by contact sets, deterministic given (c, A, n).
@@ -229,7 +217,7 @@ def compute_cover(
 
     recs: dict[int, SCRecord] = {}
     for v in bits(members):
-        out = build_sc(c, A, v, n, m_mode=m_mode)
+        out = build_sc(c, A, v, n)
         if isinstance(out, FanCertificate):
             return out
         recs[v] = out

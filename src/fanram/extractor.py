@@ -31,6 +31,7 @@ from .covering import CoverRecord, compute_cover
 from .errors import InternalError, PreconditionViolated, UnreachableBranch
 from .matching import (
     bipartite_maximum_matching,
+    greedy_bipartite_matching,
     greedy_maximal_matching,
     max_deficiency_certificate,
     maximum_matching_general,
@@ -349,15 +350,14 @@ def _unbalanced_vertex(
         return sw.fan
     if sw.kind == "clique":
         # an opp clique; pair it against A, which is disjoint from the
-        # scope, with the black side first
+        # scope
         B = sw.clique.members
         if B & A.members:
             raise InternalError("opposite-neighborhood clique meets the base clique")
         k = min(A.size, B.bit_count())
         sub_a = mask_of(bit_list(A.members)[:k])
         sub_b = mask_of(bit_list(B)[:k])
-        black, white = (sub_a, sub_b) if col is BLACK else (sub_b, sub_a)
-        cert = split_graph_fan(c, black, white)
+        cert = split_graph_fan(c, col, sub_a, sub_b)
         if len(cert.blades) < n:
             raise UnreachableBranch(
                 "mid.unbalanced.split_short", blades=len(cert.blades), need=n
@@ -408,7 +408,7 @@ def _find_blocker(
     if cert is not None:
         trace.record(f"{label}.blocker_fan", center=v3)
         return cert
-    defc = max_deficiency_certificate(c, opp, X, S12)
+    defc = max_deficiency_certificate(c, Mp, X, S12)
     T, NT = defc.S, defc.NS
     if not T or T.bit_count() - NT.bit_count() <= threshold:
         raise UnreachableBranch(
@@ -422,19 +422,6 @@ def _find_blocker(
         f"{label}.blocker", size=T.bit_count(), boundary=NT.bit_count()
     )
     return BlockerClique(members=T, boundary=NT, threshold=threshold)
-
-
-def _greedy_bipartite_maximal(c: Coloring, col, X: int, Y: int):
-    """Maximal (not maximum) matching between two sides, lexicographic."""
-    edges = []
-    avail_y = Y
-    for x in bits(X):
-        cand = c.neighborhood(x, col) & avail_y
-        if cand:
-            y = lowest(cand)
-            avail_y ^= 1 << y
-            edges.append((x, y))
-    return edges
 
 
 def _build_residue(
@@ -453,8 +440,8 @@ def _build_residue(
     opp = col.swap()
     T, NT = blocker.members, blocker.boundary
     S12 = S1 | S2
-    mb = _greedy_bipartite_maximal(c, col, S1 & ~NT, S2 & ~NT)
-    removed = mask_of(v for e in mb for v in e)
+    mb = greedy_bipartite_matching(c, col, S1 & ~NT, S2 & ~NT)
+    removed = mb.vertex_mask()
     Cset = S12 & ~NT & ~removed
     size_t = T.bit_count()
     bound = (
@@ -469,13 +456,13 @@ def _build_residue(
             raise InternalError("residue set is not a clique")
         trace.record(f"{label}.residue", size=Cset.bit_count(), bound=bound)
         return ResidueClique(
-            members=Cset, removed_boundary=NT, removed_matching=tuple(mb)
+            members=Cset, removed_boundary=NT, removed_matching=mb.edges
         )
     # carving came out small: a col fan at any blocker vertex is due
     z = lowest(T)
     fb = _FanBuilder(c, col, z)
     if size_t <= n + 3:
-        fb.add_edges(mb)
+        fb.add_edges(mb.edges)
         fb.pair_across(T, S12 & ~NT & ~removed)
         fb.pair_within(T)
     else:

@@ -1,9 +1,16 @@
 """Matchings inside color-induced subgraphs, with deficiency certificates.
 
 All entry points take a coloring, the color whose pairs count as edges, and
-bitmask vertex sets.  Tie-breaking is lexicographic everywhere, so results
-are reproducible: greedy matchings repeatedly take the smallest available
-edge, and search orders are by ascending vertex index.
+bitmask vertex sets, and read neighbourhoods straight off the coloring's
+masks.  Tie-breaking is lexicographic everywhere, so results are
+reproducible: greedy matchings repeatedly take the smallest available edge,
+and search orders are by ascending vertex index.
+
+The general maximum matching starts from the greedy one and augments along
+blossom paths (Edmonds 1965) only when the greedy matching falls short.
+The bipartite maximum matching is Hopcroft-Karp (1973).  The Hall violator
+of maximum deficiency is read off a maximum bipartite matching the caller
+already holds, by one alternating search, so no instance is solved twice.
 """
 
 from __future__ import annotations
@@ -31,10 +38,15 @@ class Matching:
         return mask_of(v for edge in self.edges for v in edge)
 
 
-def _checked_scope(c: Coloring, scope: int) -> int:
+def _checked_scope(c: Coloring, scope: int) -> None:
     if scope & ~c.vertex_mask:
         raise PreconditionViolated("scope contains out-of-range vertices")
-    return scope
+
+
+def _checked_sides(c: Coloring, X: int, Y: int) -> None:
+    _checked_scope(c, X | Y)
+    if X & Y:
+        raise PreconditionViolated("bipartition sides overlap")
 
 
 def greedy_maximal_matching(c: Coloring, col: Color, scope: int) -> Matching:
@@ -53,33 +65,47 @@ def greedy_maximal_matching(c: Coloring, col: Color, scope: int) -> Matching:
     return Matching(col, tuple(edges))
 
 
-def _blossom(adj: list[list[int]], stop_at: int | None) -> list[int]:
-    """Maximum matching on a general graph given as adjacency lists.
+def greedy_bipartite_matching(c: Coloring, col: Color, X: int, Y: int) -> Matching:
+    """Maximal (not maximum) X-Y matching: each X vertex in ascending order
+    takes its lowest free Y neighbour.  Edges are (x, y) pairs in X order."""
+    _checked_sides(c, X, Y)
+    edges = []
+    avail = Y
+    for x in bits(X):
+        cand = c.neighborhood(x, col) & avail
+        if cand:
+            y = lowest(cand)
+            avail ^= 1 << y
+            edges.append((x, y))
+    return Matching(col, tuple(edges))
 
-    Classic augmenting-path search with blossom contraction, O(V^3).
-    Returns the match array.  If stop_at is given, stops augmenting once
-    the matching reaches that size (the result is then maximum or of size
-    stop_at, whichever is smaller).
+
+def maximum_matching_general(
+    c: Coloring, col: Color, scope: int, *, stop_at: int | None = None
+) -> Matching:
+    """Maximum matching of the color-induced graph on scope.
+
+    With stop_at=k the search ends as soon as k edges are matched; the
+    returned matching is then maximum if smaller than k.  The greedy
+    maximal matching is returned unchanged when it already has k edges;
+    otherwise it seeds an augmenting-path search with blossom contraction,
+    O(V^3).
     """
-    n = len(adj)
-    match = [-1] * n
-    for v in range(n):
-        if match[v] == -1:
-            for u in adj[v]:
-                if match[u] == -1:
-                    match[v] = u
-                    match[u] = v
-                    break
-    size = sum(1 for v in range(n) if match[v] != -1) // 2
+    greedy = greedy_maximal_matching(c, col, scope)
+    size = greedy.size
     if stop_at is not None and size >= stop_at:
-        return match
-
-    p = [-1] * n
-    base = list(range(n))
-    used = [False] * n
+        return greedy
+    verts = bit_list(scope)
+    N = c.N
+    match = [-1] * N
+    for u, v in greedy.edges:
+        match[u] = v
+        match[v] = u
+    p = [-1] * N
+    base = list(range(N))
 
     def lca(a: int, b: int) -> int:
-        seen = [False] * n
+        seen = [False] * N
         while True:
             a = base[a]
             seen[a] = True
@@ -101,23 +127,23 @@ def _blossom(adj: list[list[int]], stop_at: int | None) -> list[int]:
             v = p[match[v]]
 
     def find_path(root: int) -> bool:
-        nonlocal p, base, used
-        used = [False] * n
-        p = [-1] * n
-        base = list(range(n))
+        nonlocal p, base
+        used = [False] * N
+        p = [-1] * N
+        base = list(range(N))
         used[root] = True
         q = deque([root])
         while q:
             v = q.popleft()
-            for to in adj[v]:
+            for to in bits(c.neighborhood(v, col) & scope):
                 if base[v] == base[to] or match[v] == to:
                     continue
                 if to == root or (match[to] != -1 and p[match[to]] != -1):
                     curbase = lca(v, to)
-                    blossom = [False] * n
+                    blossom = [False] * N
                     mark_path(v, curbase, to, blossom)
                     mark_path(to, curbase, v, blossom)
-                    for i in range(n):
+                    for i in verts:
                         if blossom[base[i]]:
                             base[i] = curbase
                             if not used[i]:
@@ -137,99 +163,65 @@ def _blossom(adj: list[list[int]], stop_at: int | None) -> list[int]:
                     q.append(match[to])
         return False
 
-    for v in range(n):
+    for v in verts:
         if stop_at is not None and size >= stop_at:
             break
         if match[v] == -1 and find_path(v):
             size += 1
-    return match
-
-
-def maximum_matching_general(
-    c: Coloring, col: Color, scope: int, *, stop_at: int | None = None
-) -> Matching:
-    """Maximum matching of the color-induced graph on scope.
-
-    With stop_at=k the search ends as soon as k edges are matched; the
-    returned matching is then maximum if smaller than k.
-    """
-    _checked_scope(c, scope)
-    verts = bit_list(scope)
-    index = {v: i for i, v in enumerate(verts)}
-    adj = [
-        [index[u] for u in bits(c.neighborhood(v, col) & scope)] for v in verts
-    ]
-    match = _blossom(adj, stop_at)
-    edges = tuple(
-        (verts[i], verts[j])
-        for i, j in enumerate(match)
-        if j != -1 and i < j
-    )
-    return Matching(col, edges)
+    return Matching(col, tuple((v, match[v]) for v in verts if v < match[v]))
 
 
 def bipartite_maximum_matching(
     c: Coloring, col: Color, X: int, Y: int
 ) -> Matching:
-    """Maximum matching using only col-colored X-Y pairs (Hopcroft-Karp)."""
-    _checked_scope(c, X | Y)
-    if X & Y:
-        raise PreconditionViolated("bipartition sides overlap")
-    match_x, _, xs, ys = _hopcroft_karp(c, col, X, Y)
-    edges = tuple(
-        (xs[i], ys[j]) if xs[i] < ys[j] else (ys[j], xs[i])
-        for i, j in enumerate(match_x)
-        if j != -1
-    )
-    return Matching(col, edges)
+    """Maximum matching using only col-colored X-Y pairs (Hopcroft-Karp).
 
-
-def _hopcroft_karp(c: Coloring, col: Color, X: int, Y: int):
+    Edges are ordered by their X endpoint, each written low vertex first.
+    """
+    _checked_sides(c, X, Y)
     xs = bit_list(X)
-    ys = bit_list(Y)
-    y_index = {v: i for i, v in enumerate(ys)}
-    adj = [[y_index[u] for u in bits(c.neighborhood(v, col) & Y)] for v in xs]
-    nx = len(xs)
-    match_x = [-1] * nx
-    match_y = [-1] * len(ys)
+    mate = [-1] * c.N
     INF = float("inf")
-    dist = [INF] * nx
+    dist = [INF] * c.N
 
     def bfs() -> bool:
         q = deque()
-        for i in range(nx):
-            if match_x[i] == -1:
-                dist[i] = 0
-                q.append(i)
+        for x in xs:
+            if mate[x] == -1:
+                dist[x] = 0
+                q.append(x)
             else:
-                dist[i] = INF
+                dist[x] = INF
         reachable_free = False
         while q:
-            i = q.popleft()
-            for j in adj[i]:
-                i2 = match_y[j]
-                if i2 == -1:
+            x = q.popleft()
+            for y in bits(c.neighborhood(x, col) & Y):
+                x2 = mate[y]
+                if x2 == -1:
                     reachable_free = True
-                elif dist[i2] == INF:
-                    dist[i2] = dist[i] + 1
-                    q.append(i2)
+                elif dist[x2] == INF:
+                    dist[x2] = dist[x] + 1
+                    q.append(x2)
         return reachable_free
 
-    def dfs(i: int) -> bool:
-        for j in adj[i]:
-            i2 = match_y[j]
-            if i2 == -1 or (dist[i2] == dist[i] + 1 and dfs(i2)):
-                match_x[i] = j
-                match_y[j] = i
+    def dfs(x: int) -> bool:
+        for y in bits(c.neighborhood(x, col) & Y):
+            x2 = mate[y]
+            if x2 == -1 or (dist[x2] == dist[x] + 1 and dfs(x2)):
+                mate[x] = y
+                mate[y] = x
                 return True
-        dist[i] = INF
+        dist[x] = INF
         return False
 
     while bfs():
-        for i in range(nx):
-            if match_x[i] == -1:
-                dfs(i)
-    return match_x, match_y, xs, ys
+        for x in xs:
+            if mate[x] == -1:
+                dfs(x)
+    edges = tuple(
+        (x, y) if x < y else (y, x) for x in xs if (y := mate[x]) != -1
+    )
+    return Matching(col, edges)
 
 
 @dataclass(frozen=True)
@@ -247,39 +239,41 @@ class DeficiencyCertificate:
 
 
 def max_deficiency_certificate(
-    c: Coloring, col: Color, X: int, Y: int
+    c: Coloring, mp: Matching, X: int, Y: int
 ) -> DeficiencyCertificate:
-    """Hall violator of maximum deficiency.
+    """Hall violator of maximum deficiency, from a maximum X-Y matching mp
+    in the color mp.color.
 
     S is the set of X-vertices reachable by alternating paths from the
-    unmatched X-vertices of a maximum matching; S is empty exactly when a
-    perfect matching from X exists (deficiency 0).
+    X-vertices mp leaves unmatched; that set is the same for every maximum
+    matching, so S and N(S) do not depend on which one mp is.  S is empty
+    exactly when mp matches all of X (deficiency 0).
     """
-    _checked_scope(c, X | Y)
-    if X & Y:
-        raise PreconditionViolated("bipartition sides overlap")
-    match_x, match_y, xs, ys = _hopcroft_karp(c, col, X, Y)
-    nu = sum(1 for j in match_x if j != -1)
-
-    adj = [c.neighborhood(v, col) & Y for v in xs]
-    seen_x = [False] * len(xs)
-    seen_y = 0
-    q = deque()
-    for i in range(len(xs)):
-        if match_x[i] == -1:
-            seen_x[i] = True
-            q.append(i)
-    y_pos = {v: j for j, v in enumerate(ys)}
-    while q:
-        i = q.popleft()
-        for y in bits(adj[i] & ~seen_y):
-            seen_y |= 1 << y
-            i2 = match_y[y_pos[y]]
-            if i2 != -1 and not seen_x[i2]:
-                seen_x[i2] = True
-                q.append(i2)
-    S = mask_of(xs[i] for i in range(len(xs)) if seen_x[i])
-    deficiency = S.bit_count() - seen_y.bit_count()
-    if deficiency != len(xs) - nu:
+    _checked_sides(c, X, Y)
+    col = mp.color
+    mate = [-1] * c.N
+    for a, b in mp.edges:
+        x, y = (a, b) if X >> a & 1 else (b, a)
+        if not (X >> x & 1 and Y >> y & 1 and c.neighborhood(x, col) >> y & 1):
+            raise PreconditionViolated(f"matching edge {a},{b} is not an X-Y edge")
+        mate[y] = x
+    S = frontier = X & ~mp.vertex_mask()
+    NS = 0
+    while frontier:
+        reach = 0
+        for x in bits(frontier):
+            reach |= c.neighborhood(x, col)
+        reach &= Y & ~NS
+        NS |= reach
+        frontier = 0
+        for y in bits(reach):
+            if mate[y] == -1:
+                raise PreconditionViolated(
+                    "alternating path reaches a free Y vertex: matching not maximum"
+                )
+            frontier |= 1 << mate[y]
+        S |= frontier
+    deficiency = S.bit_count() - NS.bit_count()
+    if deficiency != X.bit_count() - mp.size:
         raise InternalError("deficiency certificate disagrees with matching size")
-    return DeficiencyCertificate(S=S, NS=seen_y, deficiency=deficiency)
+    return DeficiencyCertificate(S=S, NS=NS, deficiency=deficiency)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .bitset import bit_list, bits, lowest, mask_of
-from .coloring import BLACK, WHITE, Color, Coloring
+from .coloring import Color, Coloring
 from .errors import (
     ConstructionFailure,
     PreconditionViolated,
@@ -294,56 +294,53 @@ def split_fan_blade_target(k: int) -> int:
     return -(-(3 * k - 6) // 4)
 
 
-def split_graph_fan(c: Coloring, A: int, B: int) -> FanCertificate:
-    """Fan extraction from a split pair: A a black clique, B a white
-    clique, both of size k >= 3 and disjoint.
+def split_graph_fan(c: Coloring, col: Color, A: int, B: int) -> FanCertificate:
+    """Fan extraction from a split pair: A a col clique, B a clique of the
+    other color, both of size k >= 3 and disjoint.
 
     Returns a verified fan with at least ceil(3k/4 - 3/2) blades.  Looks
-    at the densest side first: if the heaviest A-to-B vertex z admits a
-    low-deficiency matching from its B-neighborhood into A, that matching
-    plus leftover pairs of A forms a black fan at z; otherwise the Hall
-    violator U gives a white fan centered in U with partners drawn from
-    the A-vertices untouched by U and the rest of B.
+    at the densest side first (the A side on a tie; a denser B side runs
+    with the roles and colors exchanged): if the heaviest A-to-B vertex z
+    admits a low-deficiency matching from its B-neighborhood into A, that
+    matching plus leftover pairs of A forms a col fan at z; otherwise the
+    Hall violator U gives a fan of the other color centered in U with
+    partners drawn from the A-vertices untouched by U and the rest of B.
     """
+    opp = col.swap()
     k = A.bit_count()
     if k < 3 or B.bit_count() != k:
         raise PreconditionViolated("sides must have equal size k >= 3")
     if A & B:
         raise PreconditionViolated("sides overlap")
-    if clique_violation(c, CliqueWitness(BLACK, A)) is not None:
-        raise PreconditionViolated("A side is not a black clique")
-    if clique_violation(c, CliqueWitness(WHITE, B)) is not None:
-        raise PreconditionViolated("B side is not a white clique")
+    if clique_violation(c, CliqueWitness(col, A)) is not None:
+        raise PreconditionViolated(f"A side is not a {col.value} clique")
+    if clique_violation(c, CliqueWitness(opp, B)) is not None:
+        raise PreconditionViolated(f"B side is not a {opp.value} clique")
 
-    d_ab = max(( (c.neighborhood(v, BLACK) & B).bit_count(), -v) for v in bits(A))
-    d_ba = max(( (c.neighborhood(w, WHITE) & A).bit_count(), -w) for w in bits(B))
+    d_ab = max(((c.neighborhood(v, col) & B).bit_count(), -v) for v in bits(A))
+    d_ba = max(((c.neighborhood(w, opp) & A).bit_count(), -w) for w in bits(B))
     if d_ab[0] < d_ba[0]:
-        # run on the complement with the roles exchanged, then map back
-        cert = split_graph_fan(c.swap_colors(), B, A)
-        return _must_verify(
-            c,
-            FanCertificate(cert.color.swap(), cert.center, cert.blades, cert.n_claimed),
-        )
+        return split_graph_fan(c, opp, B, A)
 
     z = -d_ab[1]
     target = split_fan_blade_target(k)
-    X = c.neighborhood(z, BLACK) & B
+    X = c.neighborhood(z, col) & B
     Y = A & ~(1 << z)
-    mp = bipartite_maximum_matching(c, BLACK, X, Y)
+    mp = bipartite_maximum_matching(c, col, X, Y)
     blades = list(mp.edges)
     rest = bit_list(Y & ~mp.vertex_mask())
     blades.extend((rest[i], rest[i + 1]) for i in range(0, len(rest) - 1, 2))
     if len(blades) >= target:
-        cert = FanCertificate(BLACK, z, tuple(blades), target)
+        cert = FanCertificate(col, z, tuple(blades), target)
         return _must_verify(c, cert)
 
-    defc = max_deficiency_certificate(c, BLACK, X, Y)
+    defc = max_deficiency_certificate(c, mp, X, Y)
     U = defc.S
     if not U:
         raise ConstructionFailure("matching branch short yet no Hall violator")
     u = lowest(U)
     partners = bit_list(U & ~(1 << u))
-    free_a = bit_list(A & ~_closure(c, BLACK, U))
+    free_a = bit_list(A & ~_closure(c, col, U))
     blades = list(zip(free_a, partners))
     used = mask_of(v for e in blades for v in e) | 1 << u
     rest = bit_list(B & ~used)
@@ -352,5 +349,5 @@ def split_graph_fan(c: Coloring, A: int, B: int) -> FanCertificate:
         raise ConstructionFailure(
             f"violator branch yields {len(blades)} < {target} blades"
         )
-    cert = FanCertificate(WHITE, u, tuple(blades), target)
+    cert = FanCertificate(opp, u, tuple(blades), target)
     return _must_verify(c, cert)

@@ -20,7 +20,11 @@ from fanram.coloring import BLACK, WHITE, Coloring
 from fanram.covering import CoverRecord, check_cover_invariants, compute_cover, sc_violation
 from fanram.errors import ConstructionFailure, StructureSearchFailure, UnreachableBranch
 from fanram.extractor import extract_fan, min_order
-from fanram.matching import max_deficiency_certificate, maximum_matching_general
+from fanram.matching import (
+    bipartite_maximum_matching,
+    max_deficiency_certificate,
+    maximum_matching_general,
+)
 from fanram.oracle import (
     bipartite_lower_bound,
     exhaustive_ramsey_check,
@@ -52,7 +56,8 @@ def test_criterion_1_defect_hall_equivalence():
         c = random_coloring(nx_size + ny_size, seed, p)
         X = mask_of(range(nx_size))
         Y = mask_of(range(nx_size, nx_size + ny_size))
-        got = max_deficiency_certificate(c, BLACK, X, Y).deficiency
+        mp = bipartite_maximum_matching(c, BLACK, X, Y)
+        got = max_deficiency_certificate(c, mp, X, Y).deficiency
         want = brute_max_deficiency(c, BLACK, X, Y)
         assert got == want, f"seed {seed}: {got} != {want}"
         checked += 1
@@ -150,7 +155,7 @@ def test_criterion_6_split_graph_fan_bound():
         A = (1 << k) - 1
         B = ((1 << k) - 1) << k
         try:
-            cert = split_graph_fan(c, A, B)
+            cert = split_graph_fan(c, BLACK, A, B)
         except ConstructionFailure:
             failures += 1
             continue

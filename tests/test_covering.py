@@ -89,17 +89,6 @@ def test_build_sc_prunes_to_inclusion_minimal():
         assert deficiency(rec.S & ~(1 << x)) < target
 
 
-def test_build_sc_maximum_mode():
-    c, A = cover_gadget(4, 3, 8, 11)
-    rec_a = build_sc(c, A, 0, 11)
-    rec_b = build_sc(c, A, 0, 11, m_mode="maximum")
-    assert not isinstance(rec_a, FanCertificate)
-    assert not isinstance(rec_b, FanCertificate)
-    assert rec_b.M.size >= rec_a.M.size
-    with pytest.raises(PreconditionViolated):
-        build_sc(c, A, 0, 11, m_mode="bogus")
-
-
 def test_compute_cover_gadget_t4():
     c, A = cover_gadget(4, 3, 8, 11)
     out = compute_cover(c, A, 11)

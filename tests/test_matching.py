@@ -8,7 +8,9 @@ from fanram.bitset import bits, mask_of
 from fanram.coloring import BLACK, WHITE, Coloring
 from fanram.errors import PreconditionViolated
 from fanram.matching import (
+    Matching,
     bipartite_maximum_matching,
+    greedy_bipartite_matching,
     greedy_maximal_matching,
     max_deficiency_certificate,
     maximum_matching_general,
@@ -139,6 +141,18 @@ def test_maximum_respects_scope_and_stop():
     assert early.size >= 2
 
 
+@given(colorings(min_n=1, max_n=12), st.integers(0, 6), st.sampled_from([BLACK, WHITE]))
+def test_stop_at_returns_greedy_when_it_suffices(c, k, col):
+    # the greedy matching seeds the search and is returned unchanged once
+    # it already has stop_at edges
+    greedy = greedy_maximal_matching(c, col, c.vertex_mask)
+    got = maximum_matching_general(c, col, c.vertex_mask, stop_at=k)
+    if greedy.size >= k:
+        assert got == greedy
+    else:
+        assert got.size == min(k, brute_max_matching(c, col, c.vertex_mask))
+
+
 @given(colorings(min_n=2, max_n=11))
 def test_greedy_maximum_ratio(c):
     scope = c.vertex_mask
@@ -192,7 +206,8 @@ def test_deficiency_star_example():
             black = (u in (0, 1, 2) and v == 3)
             pairs.append((u, v, BLACK if black else WHITE))
     c = Coloring.from_pair_list(5, pairs)
-    cert = max_deficiency_certificate(c, BLACK, 0b00111, 0b11000)
+    X, Y = 0b00111, 0b11000
+    cert = max_deficiency_certificate(c, bipartite_maximum_matching(c, BLACK, X, Y), X, Y)
     assert cert.S == 0b00111
     assert cert.NS == 0b01000
     assert cert.deficiency == 2
@@ -200,7 +215,8 @@ def test_deficiency_star_example():
 
 def test_deficiency_zero_for_perfect_matching():
     c = Coloring.complete(6, BLACK)
-    cert = max_deficiency_certificate(c, BLACK, 0b000111, 0b111000)
+    X, Y = 0b000111, 0b111000
+    cert = max_deficiency_certificate(c, bipartite_maximum_matching(c, BLACK, X, Y), X, Y)
     assert cert.deficiency == 0
     assert cert.S == 0 and cert.NS == 0
 
@@ -210,7 +226,7 @@ def test_deficiency_matches_subset_bruteforce():
         c = random_coloring(16, seed, 0.3)
         X = mask_of(range(8))
         Y = mask_of(range(8, 16))
-        cert = max_deficiency_certificate(c, BLACK, X, Y)
+        cert = max_deficiency_certificate(c, bipartite_maximum_matching(c, BLACK, X, Y), X, Y)
         assert cert.deficiency == brute_max_deficiency(c, BLACK, X, Y)
         # the certificate's own set attains its stated deficiency
         assert cert.deficiency == cert.S.bit_count() - cert.NS.bit_count()
@@ -221,8 +237,8 @@ def test_defect_formula(seed, nx_size, ny_size):
     c = random_coloring(nx_size + ny_size, seed, 0.45)
     X = mask_of(range(nx_size))
     Y = mask_of(range(nx_size, nx_size + ny_size))
-    nu = bipartite_maximum_matching(c, BLACK, X, Y).size
-    assert max_deficiency_certificate(c, BLACK, X, Y).deficiency == nx_size - nu
+    mp = bipartite_maximum_matching(c, BLACK, X, Y)
+    assert max_deficiency_certificate(c, mp, X, Y).deficiency == nx_size - mp.size
 
 
 def test_matching_exists_iff_deficiency_bounded():
@@ -231,7 +247,57 @@ def test_matching_exists_iff_deficiency_bounded():
         c = random_coloring(10, seed, 0.4)
         X = mask_of(range(5))
         Y = mask_of(range(5, 10))
-        nu = bipartite_maximum_matching(c, BLACK, X, Y).size
-        dmax = max_deficiency_certificate(c, BLACK, X, Y).deficiency
+        mp = bipartite_maximum_matching(c, BLACK, X, Y)
+        nu = mp.size
+        dmax = max_deficiency_certificate(c, mp, X, Y).deficiency
         for t in range(6):
             assert (nu >= 5 - t) == (dmax <= t)
+
+
+def test_greedy_bipartite_is_maximal_in_x_order():
+    for seed in range(40):
+        c = random_coloring(14, seed, 0.3)
+        X = mask_of(range(0, 14, 2))
+        Y = mask_of(range(1, 14, 2))
+        m = greedy_bipartite_matching(c, BLACK, X, Y)
+        assert m.color is BLACK
+        xs = [x for x, _ in m.edges]
+        assert xs == sorted(xs)
+        for x, y in m.edges:
+            assert X >> x & 1 and Y >> y & 1
+            assert c.pair_color(x, y) is BLACK
+        # maximal: no black pair joins two unmatched sides
+        free = ~m.vertex_mask()
+        for x in bits(X & free):
+            assert c.neighborhood(x, BLACK) & Y & free == 0
+
+
+def test_greedy_bipartite_takes_lowest_free_partner():
+    c = Coloring.complete(6, BLACK)
+    m = greedy_bipartite_matching(c, BLACK, 0b111000, 0b000111)
+    assert m.edges == ((3, 0), (4, 1), (5, 2))
+
+
+def test_deficiency_rejects_non_maximum_matching():
+    c = Coloring.complete(6, BLACK)
+    X, Y = 0b000111, 0b111000
+    with pytest.raises(PreconditionViolated):
+        max_deficiency_certificate(c, Matching(BLACK, ()), X, Y)
+
+
+def test_deficiency_rejects_edge_inside_x():
+    c = Coloring.complete(6, BLACK)
+    X, Y = 0b000111, 0b111000
+    with pytest.raises(PreconditionViolated):
+        max_deficiency_certificate(c, Matching(BLACK, ((0, 1),)), X, Y)
+    with pytest.raises(PreconditionViolated):
+        max_deficiency_certificate(c, Matching(WHITE, ((0, 3),)), X, Y)
+
+
+def test_deficiency_same_for_every_maximum_matching():
+    # S and N(S) do not depend on which maximum matching is handed in
+    c = Coloring.complete(6, BLACK)
+    X, Y = 0b001111, 0b110000
+    for edges in (((0, 4), (1, 5)), ((2, 4), (3, 5)), ((0, 5), (3, 4))):
+        cert = max_deficiency_certificate(c, Matching(BLACK, edges), X, Y)
+        assert (cert.S, cert.NS, cert.deficiency) == (X, Y, 2)

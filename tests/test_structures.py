@@ -1,5 +1,7 @@
+import random
+
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from bruteforce import (
@@ -237,7 +239,7 @@ def _split_instance(k, cross):
 
 def test_split_graph_fan_all_cross_black():
     c = _split_instance(4, lambda u, b: True)
-    cert = split_graph_fan(c, 0b1111, 0b11110000)
+    cert = split_graph_fan(c, BLACK, 0b1111, 0b11110000)
     assert verify_fan(c, cert)
     assert cert.color is BLACK
     assert len(cert.blades) >= 2
@@ -246,7 +248,7 @@ def test_split_graph_fan_all_cross_black():
 
 def test_split_graph_fan_no_cross_black():
     c = _split_instance(4, lambda u, b: False)
-    cert = split_graph_fan(c, 0b1111, 0b11110000)
+    cert = split_graph_fan(c, BLACK, 0b1111, 0b11110000)
     assert verify_fan(c, cert)
     assert cert.color is WHITE
     assert len(cert.blades) >= 2
@@ -267,7 +269,7 @@ def test_split_graph_fan_k8_random_meets_target():
                 adj[u] &= ~(1 << v)
                 adj[v] &= ~(1 << u)
         c = Coloring(16, tuple(adj))
-        cert = split_graph_fan(c, 0xFF, 0xFF00)
+        cert = split_graph_fan(c, BLACK, 0xFF, 0xFF00)
         assert verify_fan(c, cert)
         assert len(cert.blades) >= 5
         hits += 1
@@ -279,13 +281,37 @@ def test_split_graph_fan_k8_random_meets_target():
 def test_split_graph_fan_preconditions():
     c = _split_instance(4, lambda u, b: True)
     with pytest.raises(PreconditionViolated):
-        split_graph_fan(c, 0b11, 0b1100)  # k < 3
+        split_graph_fan(c, BLACK, 0b11, 0b1100)  # k < 3
     with pytest.raises(PreconditionViolated):
-        split_graph_fan(c, 0b1111, 0b111100000)  # unequal after range
+        split_graph_fan(c, BLACK, 0b1111, 0b111100000)  # unequal after range
     with pytest.raises(PreconditionViolated):
-        split_graph_fan(c, 0b1111, 0b1111)  # overlap
+        split_graph_fan(c, BLACK, 0b1111, 0b1111)  # overlap
     with pytest.raises(PreconditionViolated):
-        split_graph_fan(c, 0b10000111, 0b01111000)  # A not a clique
+        split_graph_fan(c, BLACK, 0b10000111, 0b01111000)  # A not a clique
+
+
+@given(st.integers(0, 20_000))
+# these seeds reach the Hall-violator branch, directly or with the roles
+# exchanged; random seeds rarely do
+@example(1911)
+@example(4310)
+@example(8190)
+@example(9116)
+@example(11544)
+def test_split_graph_fan_is_color_symmetric(seed):
+    # a black A against a white B in c, and a white A against a black B in
+    # the swapped coloring, give the same fan in the opposite color
+    rng = random.Random(seed)
+    k = rng.randint(3, 9)
+    p = rng.random()
+    cross = {(u, b): rng.random() < p for u in range(k) for b in range(k)}
+    c = _split_instance(k, lambda u, b: cross[u, b])
+    A = (1 << k) - 1
+    B = A << k
+    black = split_graph_fan(c, BLACK, A, B)
+    white = split_graph_fan(c.swap_colors(), WHITE, A, B)
+    assert white.color is black.color.swap()
+    assert (white.center, white.blades) == (black.center, black.blades)
 
 
 @given(st.integers(0, 2_000), st.integers(3, 10))
@@ -303,6 +329,6 @@ def test_split_graph_fan_random_cross(seed, k):
     c = Coloring(2 * k, tuple(adj))
     A = (1 << k) - 1
     B = ((1 << k) - 1) << k
-    cert = split_graph_fan(c, A, B)
+    cert = split_graph_fan(c, BLACK, A, B)
     assert verify_fan(c, cert)
     assert len(cert.blades) >= split_fan_blade_target(k)
