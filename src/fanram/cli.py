@@ -119,10 +119,8 @@ def run(argv: list[str]) -> CommandResult:
             {"error": "unreachable_branch", "label": exc.label, "message": str(exc)},
             diagnostics="bug-class failure; please report the input",
         )
-    except (PreconditionViolated, FileNotFoundError) as exc:
-        return CommandResult(
-            EXIT_USAGE, {"error": "precondition", "message": str(exc)}
-        )
+    except (PreconditionViolated, OSError) as exc:
+        return CommandResult(EXIT_USAGE, {"error": "precondition", "message": str(exc)})
     except FanRamseyError as exc:
         return CommandResult(
             EXIT_UNREACHABLE,
@@ -142,8 +140,11 @@ def _cmd_extract(args) -> CommandResult:
 
 def _cmd_verify(args) -> CommandResult:
     coloring = load_coloring(args.infile)
-    with open(args.cert, "r", encoding="ascii") as fh:
-        cert = FanCertificate.from_json_dict(json.load(fh))
+    with open(args.cert, "r", encoding="ascii", errors="replace") as fh:
+        try:
+            cert = FanCertificate.from_json_dict(json.load(fh))
+        except json.JSONDecodeError as exc:
+            raise PreconditionViolated(f"certificate is not JSON: {exc}") from None
     violation = fan_violation(coloring, cert)
     payload = {"valid": violation is None, "violation": violation}
     return CommandResult(EXIT_OK if violation is None else EXIT_NEGATIVE, payload)

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 
 from .bitset import bits
 from .errors import (
@@ -34,13 +33,6 @@ class Color(Enum):
 
 BLACK = Color.BLACK
 WHITE = Color.WHITE
-
-
-@lru_cache(maxsize=None)
-def all_pairs(N: int) -> tuple[tuple[int, int], ...]:
-    """All unordered pairs in canonical row-major upper-triangle order:
-    (0,1), (0,2), ..., (0,N-1), (1,2), ..., (N-2,N-1)."""
-    return tuple((u, v) for u in range(N) for v in range(u + 1, N))
 
 
 class Coloring:
@@ -72,12 +64,26 @@ class Coloring:
         return self
 
     @classmethod
+    def _from_triangle(cls, N: int, rows) -> "Coloring":
+        """Trusted fast path: rows[v] holds v's black neighbours on one side
+        of v only (all above it or all below it); the transpose is ORed in."""
+        adj = list(rows)
+        for u, row in enumerate(rows):
+            bit = 1 << u
+            # bitset.bits inlined: the exhaustive oracle builds K_6 32,768 times
+            while row:
+                low = row & -row
+                adj[low.bit_length() - 1] |= bit
+                row ^= low
+        return cls._raw(N, tuple(adj))
+
+    @classmethod
     def from_pair_list(cls, N: int, pairs) -> "Coloring":
         """Build from an explicit (u, v, Color) list covering every pair once."""
         if N < 1:
             raise PreconditionViolated(f"need at least one vertex, got N={N}")
         seen = set()
-        adj = [0] * N
+        rows = [0] * N
         for u, v, color in pairs:
             if u == v:
                 raise SelfPairError(f"self-pair ({u},{v})")
@@ -88,25 +94,23 @@ class Coloring:
                 raise DuplicatePairError(f"pair {key} given twice")
             seen.add(key)
             if color is BLACK:
-                adj[u] |= 1 << v
-                adj[v] |= 1 << u
+                rows[key[0]] |= 1 << key[1]
         if len(seen) != N * (N - 1) // 2:
-            missing = next(p for p in all_pairs(N) if p not in seen)
+            missing = min({(u, v) for u in range(N) for v in range(u + 1, N)} - seen)
             raise MissingPairError(f"pair {missing} missing")
-        return cls._raw(N, tuple(adj))
+        return cls._from_triangle(N, rows)
 
     @classmethod
     def from_pair_bits(cls, N: int, black_bits: int) -> "Coloring":
         """Build from an int whose bit k says pair k (canonical order) is black."""
-        npairs = N * (N - 1) // 2
-        if black_bits >> npairs:
+        if black_bits >> N * (N - 1) // 2:
             raise PreconditionViolated("bit pattern longer than the pair count")
-        adj = [0] * N
-        for k, (u, v) in enumerate(all_pairs(N)):
-            if black_bits >> k & 1:
-                adj[u] |= 1 << v
-                adj[v] |= 1 << u
-        return cls._raw(N, tuple(adj))
+        rows = []
+        for u in range(N):
+            width = N - 1 - u
+            rows.append((black_bits & ((1 << width) - 1)) << (u + 1))
+            black_bits >>= width
+        return cls._from_triangle(N, rows)
 
     @classmethod
     def complete(cls, N: int, color: Color) -> "Coloring":
@@ -149,9 +153,8 @@ class Coloring:
     def pair_bits(self) -> int:
         """Inverse of from_pair_bits."""
         out = 0
-        for k, (u, v) in enumerate(all_pairs(self.N)):
-            if self._black[u] >> v & 1:
-                out |= 1 << k
+        for u in reversed(range(self.N)):
+            out = (out << (self.N - 1 - u)) | (self._black[u] >> (u + 1))
         return out
 
     def __eq__(self, other) -> bool:

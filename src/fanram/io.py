@@ -2,10 +2,11 @@
 
 Native format ".2col": line 1 is ``p 2col N``; the rest of the file is
 exactly N(N-1)/2 characters ``B``/``W`` separated by arbitrary whitespace,
-in canonical pair order (0,1), (0,2), ..., (0,N-1), (1,2), ...
+in canonical pair order (0,1), (0,2), ..., (0,N-1), (1,2), ...  Written
+out, line u+2 is vertex u's upper-neighbour row.
 
 Standard graph6 is also accepted for the black subgraph; the white pairs
-are the complement.
+are the complement.  Its column v is vertex v's lower-neighbour row.
 """
 
 from __future__ import annotations
@@ -17,14 +18,18 @@ from .coloring import BLACK, Coloring
 from .errors import ColoringFormatError
 
 
+# a row's bit string is written lowest vertex first
+_TO_LETTERS = str.maketrans("10", "BW")
+_TO_BITS = str.maketrans("BW", "10")
+_GRAPH6_BITS = {63 + value: format(value, "06b") for value in range(64)}
+
+
 def write_2col(c: Coloring) -> str:
     """Canonical text form: header plus one line per upper-triangle row."""
     lines = [f"p 2col {c.N}"]
     for u in range(c.N - 1):
-        row = "".join(
-            "B" if c.pair_color(u, v) is BLACK else "W" for v in range(u + 1, c.N)
-        )
-        lines.append(row)
+        row = c.neighborhood(u, BLACK) >> (u + 1)
+        lines.append(format(row, f"0{c.N - 1 - u}b")[::-1].translate(_TO_LETTERS))
     return "\n".join(lines) + "\n"
 
 
@@ -43,33 +48,37 @@ def parse_2col(text: str) -> Coloring:
         raise ColoringFormatError(f"bad vertex count {N}", line=1)
 
     need = N * (N - 1) // 2
-    # entries are counted first, so a body too short for its header is
-    # only validated, never built into bits
-    short = sum(line.count("B") + line.count("W") for line in lines[1:]) < need
-    bits = 0
-    k = 0
-    for lineno, line in enumerate(lines[1:], start=2):
-        for offset, ch in enumerate(line):
-            if ch.isspace():
-                continue
-            if ch not in "BW":
-                raise ColoringFormatError(
-                    f"unexpected character {ch!r}", line=lineno, offset=offset
-                )
-            if k >= need:
-                raise ColoringFormatError(
-                    f"more than {need} pair entries", line=lineno, offset=offset
-                )
-            if ch == "B" and not short:
-                bits |= 1 << k
-            k += 1
+    entries = "".join("".join(lines[1:]).split())
+    k = len(entries)
+    if entries.strip("BW") or k > need:
+        raise _first_fault(lines, need)
     if k < need:
         u, v = _pair_at(N, k)
         raise ColoringFormatError(
             f"only {k} of {need} pair entries; first missing pair is ({u},{v})",
             line=len(lines),
         )
-    return Coloring.from_pair_bits(N, bits)
+    # entry k is pair k, and bit k of the int
+    return Coloring.from_pair_bits(N, int(entries[::-1].translate(_TO_BITS) or "0", 2))
+
+
+def _first_fault(lines: list[str], need: int) -> ColoringFormatError:
+    """The error at the body's first bad character or surplus entry."""
+    k = 0
+    for lineno, line in enumerate(lines[1:], start=2):
+        for offset, ch in enumerate(line):
+            if ch.isspace():
+                continue
+            if ch not in "BW":
+                return ColoringFormatError(
+                    f"unexpected character {ch!r}", line=lineno, offset=offset
+                )
+            if k == need:
+                return ColoringFormatError(
+                    f"more than {need} pair entries", line=lineno, offset=offset
+                )
+            k += 1
+    raise AssertionError("body has no fault")
 
 
 def _pair_at(N: int, k: int) -> tuple[int, int]:
@@ -94,10 +103,10 @@ def parse_graph6(text: str) -> Coloring:
             raise ColoringFormatError("byte out of graph6 range", line=1, offset=offset)
     if data[0] < 63:
         N = data[0]
-        body = data[1:]
+        body = s[1:]
     elif len(data) >= 4 and data[1] < 63:
         N = (data[1] << 12) | (data[2] << 6) | data[3]
-        body = data[4:]
+        body = s[4:]
     else:
         raise ColoringFormatError("unsupported graph6 size prefix", line=1)
     if N < 1:
@@ -107,21 +116,14 @@ def parse_graph6(text: str) -> Coloring:
         raise ColoringFormatError(
             f"graph6 body length {len(body)} does not match n={N}", line=1
         )
-    bitstream = 0
-    for value in body:
-        bitstream = bitstream << 6 | value
-    bitstream >>= len(body) * 6 - npairs
-
-    # graph6 bit order is column-major: (0,1), (0,2), (1,2), (0,3), ...
-    adj = [0] * N
-    k = npairs - 1
-    for v in range(1, N):
-        for u in range(v):
-            if bitstream >> k & 1:
-                adj[u] |= 1 << v
-                adj[v] |= 1 << u
-            k -= 1
-    return Coloring._raw(N, tuple(adj))
+    # graph6 bit order is column-major: (0,1), (0,2), (1,2), (0,3), ...,
+    # so column v is the v characters from v(v-1)/2 on, lowest vertex first
+    stream = body.translate(_GRAPH6_BITS)
+    rows = [
+        int(stream[v * (v - 1) // 2 : v * (v + 1) // 2][::-1] or "0", 2)
+        for v in range(N)
+    ]
+    return Coloring._from_triangle(N, rows)
 
 
 def parse_coloring(text: str) -> Coloring:
@@ -133,8 +135,15 @@ def parse_coloring(text: str) -> Coloring:
 
 
 def load_coloring(path: str | os.PathLike) -> Coloring:
-    with open(path, "r", encoding="ascii") as fh:
-        return parse_coloring(fh.read())
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return parse_coloring(data.decode("ascii"))
+    except UnicodeDecodeError as exc:
+        # a stand-in for the bad byte keeps its own line last
+        lines = (data[: exc.start].decode("ascii") + "?").splitlines()
+        message = f"non-ASCII byte {data[exc.start]:#04x}"
+        raise ColoringFormatError(message, len(lines), len(lines[-1]) - 1) from None
 
 
 def save_2col(c: Coloring, path: str | os.PathLike) -> None:

@@ -104,10 +104,7 @@ def bipartite_lower_bound(n: int) -> Coloring:
         raise PreconditionViolated(f"fan parameter must be >= 1, got {n}")
     N = 4 * n
     half = (1 << 2 * n) - 1
-    adj = []
-    for v in range(N):
-        adj.append(half << 2 * n if v < 2 * n else half)
-    return Coloring._raw(N, tuple(adj))
+    return Coloring._raw(N, (half << 2 * n,) * (2 * n) + (half,) * (2 * n))
 
 
 def random_coloring(N: int, seed: int, p_black: float) -> Coloring:
@@ -121,13 +118,12 @@ def random_coloring(N: int, seed: int, p_black: float) -> Coloring:
     if N < 1:
         raise PreconditionViolated(f"need at least one vertex, got N={N}")
     rng = SplitMix64(seed)
-    adj = [0] * N
+    rows = [0] * N
     for u in range(N):
         for v in range(u + 1, N):
             if rng.next_float() < p_black:
-                adj[u] |= 1 << v
-                adj[v] |= 1 << u
-    return Coloring._raw(N, tuple(adj))
+                rows[u] |= 1 << v
+    return Coloring._from_triangle(N, rows)
 
 
 ADVERSARIAL_KINDS = ("bipartite_blowup", "pentagon_blowup", "clique_plus_noise")
@@ -154,31 +150,20 @@ def adversarial_coloring(kind: str, N: int, n: int, seed: int) -> Coloring:
     if kind not in ADVERSARIAL_KINDS:
         raise PreconditionViolated(f"unknown adversarial kind {kind!r}")
     rng = SplitMix64(seed)
-    adj = [0] * N
+    rows = [0] * N
 
     if kind == "bipartite_blowup":
         half = (N + 1) // 2
 
         def black(u, v, roll):
-            base = (u < half) != (v < half)
-            return base != (roll < _BIPARTITE_FLIP)
+            return ((u < half) != (v < half)) != (roll < _BIPARTITE_FLIP)
 
     elif kind == "pentagon_blowup":
         size, extra = divmod(N, 5)
-        bounds = []
-        acc = 0
-        for i in range(5):
-            acc += size + (1 if i < extra else 0)
-            bounds.append(acc)
-
-        def part(v):
-            for i, b in enumerate(bounds):
-                if v < b:
-                    return i
-            raise AssertionError
+        part = [i for i in range(5) for _ in range(size + (i < extra))]
 
         def black(u, v, roll):
-            pu, pv = part(u), part(v)
+            pu, pv = part[u], part[v]
             if pu == pv:
                 return roll < _PENTAGON_INSIDE
             return (pu - pv) % 5 in (1, 4)
@@ -187,14 +172,11 @@ def adversarial_coloring(kind: str, N: int, n: int, seed: int) -> Coloring:
         planted = -(-7 * N // 12)
 
         def black(u, v, roll):
-            if u < planted and v < planted:
-                return True
-            return roll < _CLIQUE_NOISE
+            return (u < planted and v < planted) or roll < _CLIQUE_NOISE
 
     for u in range(N):
         for v in range(u + 1, N):
             roll = rng.next_float()
             if black(u, v, roll):
-                adj[u] |= 1 << v
-                adj[v] |= 1 << u
-    return Coloring._raw(N, tuple(adj))
+                rows[u] |= 1 << v
+    return Coloring._from_triangle(N, rows)

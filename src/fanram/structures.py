@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import index
 
 from .bitset import bit_list, bits, lowest, mask_of
 from .coloring import Color, Coloring
@@ -49,12 +50,16 @@ class FanCertificate:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "FanCertificate":
-        return cls(
-            color=Color(d["color"]),
-            center=int(d["center"]),
-            blades=tuple((int(a), int(b)) for a, b in d["blades"]),
-            n_claimed=int(d["n_claimed"]),
-        )
+        """Read a certificate; a malformed one is a PreconditionViolated."""
+        try:
+            return cls(
+                color=Color(d["color"]),
+                center=index(d["center"]),
+                blades=tuple((index(a), index(b)) for a, b in d["blades"]),
+                n_claimed=index(d["n_claimed"]),
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise PreconditionViolated(f"malformed certificate: {exc!r}") from None
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True)

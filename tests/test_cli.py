@@ -109,6 +109,39 @@ def test_missing_file_is_usage_error():
     assert res.exit_code == 2
 
 
+def test_non_ascii_2col_reports_position(tmp_path):
+    path = tmp_path / "binary.2col"
+    path.write_bytes(b"p 2col 3\r\nB\xffW\nB\n")
+    res = run(["extract", "--in", str(path), "--n", "1"])
+    assert res.exit_code == 2
+    assert res.payload["error"] == "format"
+    assert "0xff" in res.payload["message"]
+    assert (res.payload["line"], res.payload["offset"]) == (2, 1)
+
+
+def test_directory_as_input_is_usage_error(tmp_path):
+    res = run(["extract", "--in", str(tmp_path), "--n", "3"])
+    assert res.exit_code == 2
+    assert res.payload["error"] == "precondition"
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        "not json",
+        "{}",
+        '{"blades": [[1]], "color": "black", "center": 0, "n_claimed": 1}',
+        '{"color": "red", "center": 0, "blades": [], "n_claimed": 0}',
+    ],
+)
+def test_malformed_certificate_is_usage_error(k46, tmp_path, body):
+    cert_path = tmp_path / "cert.json"
+    cert_path.write_text(body)
+    res = run(["verify", "--in", k46, "--cert", str(cert_path)])
+    assert res.exit_code == 2
+    assert res.payload["error"] == "precondition"
+
+
 def test_usage_error_on_bad_flags():
     res = run(["extract", "--n", "3"])
     assert res.exit_code == 2

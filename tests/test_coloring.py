@@ -11,6 +11,7 @@ from fanram.errors import (
     SelfPairError,
     VertexRangeError,
 )
+from fanram.io import parse_2col, write_2col
 
 
 @st.composite
@@ -157,6 +158,7 @@ def test_context_rejects_bad_n():
 @given(colorings())
 def test_pair_bits_roundtrip(c):
     assert Coloring.from_pair_bits(c.N, c.pair_bits()) == c
+    assert parse_2col(write_2col(c)) == c
 
 
 def test_constructor_validates_symmetry():

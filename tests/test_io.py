@@ -4,6 +4,7 @@ import pytest
 from fanram.coloring import BLACK, WHITE, Coloring
 from fanram.errors import ColoringFormatError
 from fanram.io import (
+    _pair_at,
     load_coloring,
     parse_2col,
     parse_coloring,
@@ -14,10 +15,26 @@ from fanram.io import (
 from fanram.oracle import random_coloring
 
 
+# every row width from a single vertex up, plus n=70, where graph6
+# switches to the four-byte size prefix
+_EDGE_WIDTHS = (*range(1, 13), 70)
+
+
+def _black_graph(c):
+    g = nx.Graph()
+    g.add_nodes_from(range(c.N))
+    for u in range(c.N):
+        for v in range(u + 1, c.N):
+            if c.pair_color(u, v) is BLACK:
+                g.add_edge(u, v)
+    return g
+
+
 def test_2col_roundtrip():
-    for seed in range(8):
-        c = random_coloring(9, seed, 0.4)
-        assert parse_2col(write_2col(c)) == c
+    for N in _EDGE_WIDTHS:
+        for seed in range(8):
+            c = random_coloring(N, seed, 0.4)
+            assert parse_2col(write_2col(c)) == c
 
 
 def test_2col_single_vertex():
@@ -31,6 +48,9 @@ def test_2col_accepts_scattered_whitespace():
     assert c.pair_color(0, 1) is BLACK
     assert c.pair_color(0, 2) is WHITE
     assert c.pair_color(1, 2) is BLACK
+    # a tab, a vertical tab (a line break to splitlines) and an empty line
+    assert parse_2col("p 2col 3\nB\tW\x0bB\n").pair_bits() == 5
+    assert parse_2col("p 2col 2\n\nW") == Coloring.complete(2, WHITE)
 
 
 def test_2col_header_errors():
@@ -43,10 +63,13 @@ def test_2col_header_errors():
 
 
 def test_2col_bad_character_position():
-    with pytest.raises(ColoringFormatError) as exc:
-        parse_2col("p 2col 3\nBX\nB\n")
-    assert exc.value.line == 2
-    assert exc.value.offset == 1
+    for text, line, offset in (
+        ("p 2col 3\nBX\nB\n", 2, 1),
+        ("p 2col 3\nBB B X\n", 2, 5),
+    ):
+        with pytest.raises(ColoringFormatError, match="character 'X'") as exc:
+            parse_2col(text)
+        assert (exc.value.line, exc.value.offset) == (line, offset)
 
 
 def test_2col_too_few_and_too_many():
@@ -54,6 +77,10 @@ def test_2col_too_few_and_too_many():
         parse_2col("p 2col 3\nBB\n")
     with pytest.raises(ColoringFormatError):
         parse_2col("p 2col 3\nBBBB\n")
+    for text, line, offset in (("p 2col 3\nBBBBX", 2, 3), ("p 2col 3\nBW\n\nBW", 4, 1)):
+        with pytest.raises(ColoringFormatError, match="more than 3") as exc:
+            parse_2col(text)
+        assert (exc.value.line, exc.value.offset) == (line, offset)
     with pytest.raises(ColoringFormatError, match=r"first missing pair is \(1,3\)"):
         parse_2col("p 2col 4\nBBB\nW\n")
 
@@ -70,16 +97,17 @@ def test_2col_huge_header_short_body():
 
 
 def test_graph6_against_networkx():
-    for seed in range(10):
-        c = random_coloring(11, seed, 0.5)
-        g = nx.Graph()
-        g.add_nodes_from(range(c.N))
-        for u in range(c.N):
-            for v in range(u + 1, c.N):
-                if c.pair_color(u, v) is BLACK:
-                    g.add_edge(u, v)
-        text = nx.to_graph6_bytes(g, header=False).decode().strip()
-        assert parse_graph6(text) == c
+    for N in _EDGE_WIDTHS:
+        for seed in range(10):
+            c = random_coloring(N, seed, 0.5)
+            text = nx.to_graph6_bytes(_black_graph(c), header=False).decode().strip()
+            assert parse_graph6(text) == c
+
+
+def test_pair_at_matches_canonical_order():
+    for N in range(1, 41):
+        pairs = [(u, v) for u in range(N) for v in range(u + 1, N)]
+        assert [_pair_at(N, k) for k in range(len(pairs))] == pairs
 
 
 def test_graph6_long_size_prefix():
@@ -105,13 +133,7 @@ def test_graph6_errors():
 def test_parse_coloring_sniffs_format(tmp_path):
     c = random_coloring(8, 3, 0.5)
     assert parse_coloring(write_2col(c)) == c
-    g = nx.Graph()
-    g.add_nodes_from(range(8))
-    for u in range(8):
-        for v in range(u + 1, 8):
-            if c.pair_color(u, v) is BLACK:
-                g.add_edge(u, v)
-    text = nx.to_graph6_bytes(g, header=False).decode().strip()
+    text = nx.to_graph6_bytes(_black_graph(c), header=False).decode().strip()
     assert parse_coloring(text) == c
     path = tmp_path / "x.2col"
     save_2col(c, path)

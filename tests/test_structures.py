@@ -84,6 +84,21 @@ def test_certificate_json_roundtrip():
     assert FanCertificate.from_json(cert.to_json()) == cert
 
 
+def test_certificate_json_rejects_malformed_fields():
+    good = {"color": "white", "center": 3, "blades": [[1, 2]], "n_claimed": 1}
+    for bad in (
+        {"center": "3"},
+        {"center": 1.5},
+        {"blades": [[1, 2, 4]]},
+        {"blades": 7},
+        {"color": None},
+    ):
+        with pytest.raises(PreconditionViolated, match="malformed certificate"):
+            FanCertificate.from_json_dict({**good, **bad})
+    with pytest.raises(PreconditionViolated):
+        FanCertificate.from_json_dict([])
+
+
 def test_find_mono_fan_complete_graph():
     c = Coloring.complete(7, BLACK)
     cert = find_mono_fan(c, BLACK, 3)
