@@ -34,7 +34,13 @@ from .oracle import (
     exhaustive_ramsey_check,
     random_coloring,
 )
-from .structures import CliqueWitness, FanCertificate, fan_violation, find_mono_fan
+from .structures import (
+    CliqueWitness,
+    FanCertificate,
+    clique_violation,
+    fan_violation,
+    find_mono_fan,
+)
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -174,10 +180,11 @@ def _cmd_cover(args) -> CommandResult:
         vertices = [int(tok) for tok in args.clique.split(",") if tok.strip() != ""]
     except ValueError:
         raise PreconditionViolated(f"bad clique list {args.clique!r}") from None
+    for v in vertices:
+        if not 0 <= v < coloring.N:
+            raise PreconditionViolated(f"clique vertex {v} outside [0, {coloring.N})")
     color = BLACK if args.color == "B" else WHITE
     witness = CliqueWitness(color, mask_of(vertices))
-    from .structures import clique_violation
-
     bad = clique_violation(coloring, witness)
     if bad is not None:
         raise PreconditionViolated(f"not a {color.value} clique: {bad}")
@@ -244,6 +251,8 @@ def _worker_count() -> int:
 def _cmd_trials(args) -> CommandResult:
     if args.count < 1:
         raise PreconditionViolated("count must be positive")
+    if args.n < 1:
+        raise PreconditionViolated(f"fan parameter must be >= 1, got {args.n}")
     tasks = []
     for i in range(args.count):
         if args.family is None:

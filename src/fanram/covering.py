@@ -7,6 +7,8 @@ neighborhood outside A with its contact set C = N(S) within A, such that
 |S| >= |C| + deg(v) - 2n.  Covers chain these records greedily until the
 contact sets exhaust A; their combinatorics (disjoint shadows, bounded
 contacts, non-increasing marginals) drive every later fan construction.
+The fan attempt behind each record is structures._FanBuilder.match_into,
+the same one the extractor's blocker step makes.
 """
 
 from __future__ import annotations
@@ -17,17 +19,12 @@ from dataclasses import dataclass
 from .bitset import bit_list, bits
 from .coloring import Coloring
 from .errors import InternalError, PreconditionViolated
-from .matching import (
-    Matching,
-    bipartite_maximum_matching,
-    greedy_maximal_matching,
-    max_deficiency_certificate,
-)
+from .matching import Matching, max_deficiency_certificate
 from .structures import (
     CliqueWitness,
     FanCertificate,
     _closure,
-    _must_verify,
+    _FanBuilder,
     clique_violation,
     is_clique,
 )
@@ -125,11 +122,12 @@ def build_sc(
 ) -> SCRecord | FanCertificate:
     """Construct S(v, A) and C(v, A), or the fan that preempts them.
 
-    The fan attempt takes the greedy maximal matching M inside N(v)
-    outside A, the maximum bipartite matching Mp back into A, and pairs up
-    the rest of A; when that reaches n blades there is nothing left to
-    record.  Otherwise the Hall violator of the Mp instance, pruned to
-    inclusion-minimality, becomes S.
+    The fan attempt is _FanBuilder.match_into(N(v) minus A, A minus {v}):
+    the greedy maximal matching M inside N(v) outside A, the maximum
+    bipartite matching Mp back into A, and the rest of A paired up; when
+    that reaches n blades there is nothing left to record.  Otherwise the
+    Hall violator of the Mp instance, pruned to inclusion-minimality,
+    becomes S.
     """
     col = A.color
     members = A.members
@@ -142,18 +140,12 @@ def build_sc(
     if deg <= 2 * n:
         raise PreconditionViolated(f"deg({v})={deg} must exceed 2n={2 * n}")
 
-    nb = c.neighborhood(v, col)
-    outside = nb & ~members
-    M = greedy_maximal_matching(c, col, outside)
-    X = outside & ~M.vertex_mask()
-    Y = members & ~(1 << v)
-    Mp = bipartite_maximum_matching(c, col, X, Y)
-
-    blades = list(M.edges) + list(Mp.edges)
-    rest = bit_list(Y & ~Mp.vertex_mask())
-    blades.extend((rest[i], rest[i + 1]) for i in range(0, len(rest) - 1, 2))
-    if len(blades) >= n:
-        return _must_verify(c, FanCertificate(col, v, tuple(blades[:n]), n))
+    fb = _FanBuilder(c, col, v)
+    outside = c.neighborhood(v, col) & ~members
+    M, Mp, X, Y = fb.match_into(outside, members & ~(1 << v))
+    cert = fb.build(n)
+    if cert is not None:
+        return cert
 
     target = deg + 1 - 2 * n
     defc = max_deficiency_certificate(c, Mp, X, Y)

@@ -25,20 +25,19 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bitset import bit_list, bits, lowest, mask_of
+from .bitset import bit_list, lowest, mask_of
 from .coloring import BLACK, WHITE, Coloring, context_of
 from .covering import CoverRecord, compute_cover
 from .errors import InternalError, PreconditionViolated, UnreachableBranch
 from .matching import (
-    bipartite_maximum_matching,
     greedy_bipartite_matching,
-    greedy_maximal_matching,
     max_deficiency_certificate,
     maximum_matching_general,
 )
 from .structures import (
     CliqueWitness,
     FanCertificate,
+    _FanBuilder,
     _must_verify,
     fan_from_clique,
     fan_violation,
@@ -126,62 +125,6 @@ class ExtractionTrace:
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True)
-
-
-class _FanBuilder:
-    """Accumulates vertex-disjoint blades for a fan at a fixed center.
-
-    Blade validity is not checked while pairing; build() verifies the
-    finished certificate, so an invalid pairing program surfaces as a
-    construction failure instead of a bad certificate.
-    """
-
-    def __init__(self, c: Coloring, color, center: int):
-        self.c = c
-        self.color = color
-        self.center = center
-        self.used = 1 << center
-        self.blades: list[tuple[int, int]] = []
-
-    def add_edges(self, edges) -> None:
-        for a, b in edges:
-            self.blades.append((a, b))
-            self.used |= 1 << a | 1 << b
-
-    def pair_across(self, xs_mask: int, ys_mask: int, cap: int | None = None) -> None:
-        xs_mask &= ~self.used
-        ys_mask &= ~self.used & ~xs_mask
-        pairs = zip(bits(xs_mask), bits(ys_mask))
-        for k, (a, b) in enumerate(pairs):
-            if cap is not None and k >= cap:
-                break
-            self.blades.append((a, b))
-            self.used |= 1 << a | 1 << b
-
-    def pair_within(self, mask: int) -> None:
-        vs = bit_list(mask & ~self.used)
-        for i in range(0, len(vs) - 1, 2):
-            self.blades.append((vs[i], vs[i + 1]))
-            self.used |= 1 << vs[i] | 1 << vs[i + 1]
-
-    def count(self) -> int:
-        return len(self.blades)
-
-    def build(self, n: int) -> FanCertificate | None:
-        if len(self.blades) < n:
-            return None
-        return _must_verify(
-            self.c, FanCertificate(self.color, self.center, tuple(self.blades[:n]), n)
-        )
-
-    def finish(self, n: int, trace: ExtractionTrace, label: str, short: str, **details):
-        """The verified fan, traced as label; falling short of n blades is
-        the unreachable branch named short."""
-        cert = self.build(n)
-        if cert is None:
-            raise UnreachableBranch(short, blades=self.count(), **details)
-        trace.record(label, center=self.center)
-        return cert
 
 
 def extract_fan(
@@ -384,9 +327,10 @@ def _find_blocker(
     """Opp fan at the last cover vertex, or the blocker clique that
     obstructs it (col is the cover's clique color, opp the other).
 
-    The fan takes a maximal opp matching M inside T' (the opp
-    neighborhood of v3 minus both shadows), a maximum opp matching M'
-    from the rest of T' into the shadows, and pairs up shadow leftovers.
+    The fan is _FanBuilder.match_into(T', S1, S2): a maximal opp matching
+    M inside T' (the opp neighborhood of v3 minus both shadows), a maximum
+    opp matching M' from the rest of T' into the shadows, and the shadow
+    leftovers paired up.
     If that falls short of n blades, the Hall violator of the M' instance
     is a col clique whose advantage over its opp boundary exceeds the
     threshold.
@@ -394,16 +338,9 @@ def _find_blocker(
     col = cover.A.color
     opp = col.swap()
     (v1, r1), (v2, r2), (v3, r3) = cover.sequence[:3]
-    S12 = r1.S | r2.S
-    Tp = c.neighborhood(v3, opp) & ~S12
-    M = greedy_maximal_matching(c, opp, Tp)
-    X = Tp & ~M.vertex_mask()
-    Mp = bipartite_maximum_matching(c, opp, X, S12)
     fb = _FanBuilder(c, opp, v3)
-    fb.add_edges(M.edges)
-    fb.add_edges(Mp.edges)
-    fb.pair_within(r1.S)
-    fb.pair_within(r2.S)
+    Tp = c.neighborhood(v3, opp) & ~(r1.S | r2.S)
+    _, Mp, X, S12 = fb.match_into(Tp, r1.S, r2.S)
     cert = fb.build(n)
     if cert is not None:
         trace.record(f"{label}.blocker_fan", center=v3)

@@ -20,6 +20,7 @@ from .errors import (
     ConstructionFailure,
     PreconditionViolated,
     StructureSearchFailure,
+    UnreachableBranch,
 )
 from .matching import (
     Matching,
@@ -134,16 +135,11 @@ def is_clique(c: Coloring, col: Color, members: int) -> bool:
 def fan_from_clique(c: Coloring, w: CliqueWitness, n: int) -> FanCertificate:
     """A clique on >= 2n+1 vertices contains a fan: center its lowest
     vertex and pair up the rest."""
-    verts = bit_list(w.members)
-    if len(verts) < 2 * n + 1:
+    if w.size < 2 * n + 1:
         raise PreconditionViolated("clique too small to pair into a fan")
-    center = verts[0]
-    blades = tuple(
-        (verts[i], verts[i + 1]) for i in range(1, 2 * n, 2)
-    )
-    cert = FanCertificate(w.color, center, blades, n)
-    _must_verify(c, cert)
-    return cert
+    fb = _FanBuilder(c, w.color, lowest(w.members))
+    fb.pair_within(w.members)
+    return fb.build(n)
 
 
 def _closure(c: Coloring, col: Color, S: int) -> int:
@@ -159,6 +155,83 @@ def _must_verify(c: Coloring, cert: FanCertificate) -> FanCertificate:
     if violation is not None:
         raise ConstructionFailure(f"built an invalid fan: {violation}")
     return cert
+
+
+class _FanBuilder:
+    """Accumulates vertex-disjoint blades for a fan at a fixed center.
+
+    Blade validity is not checked while pairing; build() verifies the
+    finished certificate, so an invalid pairing program surfaces as a
+    construction failure instead of a bad certificate.
+    """
+
+    def __init__(self, c: Coloring, color: Color, center: int):
+        self.c = c
+        self.color = color
+        self.center = center
+        self.used = 1 << center
+        self.blades: list[tuple[int, int]] = []
+
+    def add_edges(self, edges) -> None:
+        for a, b in edges:
+            self.blades.append((a, b))
+            self.used |= 1 << a | 1 << b
+
+    def pair_across(self, xs_mask: int, ys_mask: int, cap: int | None = None) -> None:
+        xs_mask &= ~self.used
+        ys_mask &= ~self.used & ~xs_mask
+        pairs = zip(bits(xs_mask), bits(ys_mask))
+        for k, (a, b) in enumerate(pairs):
+            if cap is not None and k >= cap:
+                break
+            self.blades.append((a, b))
+            self.used |= 1 << a | 1 << b
+
+    def pair_within(self, mask: int) -> None:
+        vs = bit_list(mask & ~self.used)
+        for i in range(0, len(vs) - 1, 2):
+            self.blades.append((vs[i], vs[i + 1]))
+            self.used |= 1 << vs[i] | 1 << vs[i + 1]
+
+    def match_into(self, T: int, *parts: int) -> tuple[Matching, Matching, int, int]:
+        """The shared fan attempt: blades from a greedy maximal matching M
+        inside T, then a maximum matching Mp from X = T minus V(M) into
+        Y = the union of parts, then the leftovers of each part paired
+        within that part.
+
+        Returns (M, Mp, X, Y); when the fan falls short, the Hall violator
+        of the (Mp, X, Y) instance is the caller's next witness.
+        """
+        Y = 0
+        for part in parts:
+            Y |= part
+        M = greedy_maximal_matching(self.c, self.color, T)
+        X = T & ~M.vertex_mask()
+        Mp = bipartite_maximum_matching(self.c, self.color, X, Y)
+        self.add_edges(M.edges)
+        self.add_edges(Mp.edges)
+        for part in parts:
+            self.pair_within(part)
+        return M, Mp, X, Y
+
+    def count(self) -> int:
+        return len(self.blades)
+
+    def build(self, n: int) -> FanCertificate | None:
+        if len(self.blades) < n:
+            return None
+        return _must_verify(
+            self.c, FanCertificate(self.color, self.center, tuple(self.blades[:n]), n)
+        )
+
+    def finish(self, n: int, trace, label: str, short: str, **details) -> FanCertificate:
+        """The verified fan, recorded on trace as label; falling short of n
+        blades is the unreachable branch named short."""
+        cert = self.build(n)
+        if cert is None:
+            raise UnreachableBranch(short, blades=self.count(), **details)
+        trace.record(label, center=self.center)
+        return cert
 
 
 def find_mono_fan(
@@ -182,16 +255,13 @@ def find_mono_fan(
             continue
         # a greedy matching settles most centers: reaching n proves the
         # fan, and below n/2 even doubling cannot reach it
-        greedy = greedy_maximal_matching(c, col, nb)
-        if greedy.size >= n:
-            cert = FanCertificate(col, v, greedy.edges[:n], n)
-            return _must_verify(c, cert)
-        if 2 * greedy.size < n:
+        m = greedy_maximal_matching(c, col, nb)
+        if 2 * m.size < n:
             continue
-        m = maximum_matching_general(c, col, nb, stop_at=n)
+        if m.size < n:
+            m = maximum_matching_general(c, col, nb, stop_at=n)
         if m.size >= n:
-            cert = FanCertificate(col, v, m.edges[:n], n)
-            return _must_verify(c, cert)
+            return _must_verify(c, FanCertificate(col, v, m.edges[:n], n))
     return None
 
 
@@ -329,30 +399,18 @@ def split_graph_fan(c: Coloring, col: Color, A: int, B: int) -> FanCertificate:
 
     z = -d_ab[1]
     target = split_fan_blade_target(k)
-    X = c.neighborhood(z, col) & B
-    Y = A & ~(1 << z)
-    mp = bipartite_maximum_matching(c, col, X, Y)
-    blades = list(mp.edges)
-    rest = bit_list(Y & ~mp.vertex_mask())
-    blades.extend((rest[i], rest[i + 1]) for i in range(0, len(rest) - 1, 2))
-    if len(blades) >= target:
-        cert = FanCertificate(col, z, tuple(blades), target)
-        return _must_verify(c, cert)
+    # B is an opp clique, so the greedy matching inside X is always empty
+    fb = _FanBuilder(c, col, z)
+    _, mp, X, Y = fb.match_into(c.neighborhood(z, col) & B, A & ~(1 << z))
+    if fb.count() >= target:
+        return _must_verify(c, FanCertificate(col, z, tuple(fb.blades), target))
 
-    defc = max_deficiency_certificate(c, mp, X, Y)
-    U = defc.S
+    U = max_deficiency_certificate(c, mp, X, Y).S
     if not U:
         raise ConstructionFailure("matching branch short yet no Hall violator")
-    u = lowest(U)
-    partners = bit_list(U & ~(1 << u))
-    free_a = bit_list(A & ~_closure(c, col, U))
-    blades = list(zip(free_a, partners))
-    used = mask_of(v for e in blades for v in e) | 1 << u
-    rest = bit_list(B & ~used)
-    blades.extend((rest[i], rest[i + 1]) for i in range(0, len(rest) - 1, 2))
-    if len(blades) < target:
-        raise ConstructionFailure(
-            f"violator branch yields {len(blades)} < {target} blades"
-        )
-    cert = FanCertificate(opp, u, tuple(blades), target)
-    return _must_verify(c, cert)
+    fb = _FanBuilder(c, opp, lowest(U))
+    fb.pair_across(A & ~_closure(c, col, U), U)
+    fb.pair_within(B)
+    if fb.count() < target:
+        raise ConstructionFailure(f"violator branch yields {fb.count()} < {target} blades")
+    return _must_verify(c, FanCertificate(opp, fb.center, tuple(fb.blades), target))

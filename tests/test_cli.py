@@ -169,10 +169,12 @@ def test_cover_command(tmp_path):
     assert res.payload["result"] == "cover"
     assert res.payload["cover"]["t"] == 3
 
-    bad = run(
-        ["cover", "--in", str(path), "--clique", "0,1,20", "--color", "B", "--n", "6"]
-    )
-    assert bad.exit_code == 2
+    for clique in ("0,1,20", "0,-1,2"):
+        bad = run(
+            ["cover", "--in", str(path), "--clique", clique, "--color", "B", "--n", "6"]
+        )
+        assert bad.exit_code == 2
+        assert bad.payload["error"] == "precondition"
 
 
 def test_cover_command_white_clique(tmp_path):
@@ -221,6 +223,14 @@ def test_trials_deterministic_across_workers(monkeypatch):
     assert sum(f["runs"] for f in one.payload["families"].values()) == 6
     assert sum(f["successes"] for f in one.payload["families"].values()) == 6
     assert one.payload["branch_coverage"]
+
+
+def test_trials_rejects_nonpositive_n(monkeypatch):
+    monkeypatch.setenv("FANRAM_WORKERS", "1")
+    for n in ("0", "-3"):
+        res = run(["trials", "--n", n, "--count", "2"])
+        assert res.exit_code == 2
+        assert res.payload["message"] == f"fan parameter must be >= 1, got {n}"
 
 
 def test_trials_single_family(monkeypatch):

@@ -1,0 +1,61 @@
+"""Source hygiene: every import in fanram is used and sits at module level.
+
+An import that outlives the code using it, or one tucked inside a
+function, is easy to miss after code moves between modules; this test
+parses each module with ast and names every such import.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "fanram"
+MODULES = sorted(SRC.glob("*.py"))
+
+
+def _tree(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def _imported_names(tree: ast.Module) -> dict[str, int]:
+    names = {}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                names[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                if alias.name != "annotations":
+                    names[alias.asname or alias.name] = node.lineno
+    return names
+
+
+def _used_names(tree: ast.Module) -> set[str]:
+    return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_imports_are_used(path):
+    if path.name == "__init__.py":
+        return  # its imports are the package's re-exports
+    tree = _tree(path)
+    used = _used_names(tree)
+    unused = [
+        f"{path.name}:{line} {name}"
+        for name, line in _imported_names(tree).items()
+        if name not in used
+    ]
+    assert unused == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_imports_are_at_module_level(path):
+    tree = _tree(path)
+    top = set(map(id, tree.body))
+    nested = [
+        f"{path.name}:{node.lineno}"
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and id(node) not in top
+    ]
+    assert nested == []

@@ -9,13 +9,15 @@ from bruteforce import (
     brute_fan_exists,
     brute_fan_exists_enumerated,
 )
-from fanram.bitset import bit_list
+from fanram.bitset import bit_list, mask_of
 from fanram.coloring import BLACK, WHITE, Coloring
 from fanram.errors import PreconditionViolated
+from fanram.matching import max_deficiency_certificate
 from fanram.oracle import random_coloring
 from fanram.structures import (
     CliqueWitness,
     FanCertificate,
+    _FanBuilder,
     fan_from_clique,
     fan_violation,
     find_clique,
@@ -172,6 +174,43 @@ def test_fan_from_clique():
     assert verify_fan(c, cert) and len(cert.blades) == 4
     with pytest.raises(PreconditionViolated):
         fan_from_clique(c, CliqueWitness(BLACK, 0b1111), 2)
+
+
+def test_match_into_orders_blades_and_keeps_parts_apart():
+    # center 0 is black to everything; inside T = {1,2,3,4} only 1-2 is
+    # black, 3 and 4 both reach only vertex 5 of the parts P1 = {5..8} and
+    # P2 = {9,10,11}, each a black clique, and P1-P2 pairs are white
+    T, P1, P2 = mask_of(range(1, 5)), mask_of(range(5, 9)), mask_of(range(9, 12))
+    adj = [0] * 12
+
+    def join(u, v):
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+
+    for v in range(1, 12):
+        join(0, v)
+    join(1, 2)
+    join(3, 5)
+    join(4, 5)
+    for part in (P1, P2):
+        for u in bit_list(part):
+            for v in bit_list(part):
+                if u < v:
+                    join(u, v)
+    c = Coloring(12, tuple(adj))
+
+    fb = _FanBuilder(c, BLACK, 0)
+    M, Mp, X, Y = fb.match_into(T, P1, P2)
+    assert M.edges == ((1, 2),)
+    assert Mp.edges == ((3, 5),)
+    assert (X, Y) == (0b11000, P1 | P2)
+    # the leftovers 6, 7, 8 of P1 and 9, 10, 11 of P2 pair within their
+    # own part: 8 and 11 stay unused rather than pair across
+    assert fb.blades == [(1, 2), (3, 5), (6, 7), (9, 10)]
+    assert verify_fan(c, fb.build(4))
+    assert fb.build(5) is None
+    defc = max_deficiency_certificate(c, Mp, X, Y)
+    assert (defc.S, defc.NS, defc.deficiency) == (X, 1 << 5, 1)
 
 
 def test_structure_search_all_black():
