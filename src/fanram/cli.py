@@ -10,6 +10,7 @@ fired (bug class).  FANRAM_WORKERS caps the trial worker processes.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -64,7 +65,9 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """Built once per process; parse_args returns a fresh namespace each call."""
     parser = _Parser(prog="fanram", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -228,7 +231,9 @@ def _run_trial(task: tuple) -> dict:
         out["error"] = "unreachable_branch"
         out["label"] = exc.label
         return out
-    except FanRamseyError as exc:
+    except Exception as exc:
+        # one bad task, even a RecursionError or MemoryError, must not end
+        # the batch; it is reported as a failure
         out["error"] = f"{type(exc).__name__}: {exc}"
         return out
     out["ok"] = fan_violation(coloring, cert) is None

@@ -255,6 +255,57 @@ def test_unreachable_branch_maps_to_exit_3(k46, monkeypatch):
     assert "report" in res.diagnostics
 
 
+def test_trial_exception_fails_one_task_not_the_batch(monkeypatch):
+    import fanram.cli as cli
+
+    real = cli.extract_fan
+    calls = []
+
+    def flaky(coloring, n, mode):
+        calls.append(mode)
+        if len(calls) == 3:
+            raise RecursionError("maximum recursion depth exceeded")
+        return real(coloring, n, mode=mode)
+
+    monkeypatch.setenv("FANRAM_WORKERS", "1")
+    monkeypatch.setattr(cli, "extract_fan", flaky)
+    res = run(["trials", "--n", "3", "--count", "6", "--seed", "0"])
+    assert res.exit_code == 1
+    assert len(calls) == 6
+    assert sum(f["runs"] for f in res.payload["families"].values()) == 6
+    assert sum(f["successes"] for f in res.payload["families"].values()) == 5
+    assert res.payload["failures"] == [
+        {"seed": 2, "error": "RecursionError: maximum recursion depth exceeded"}
+    ]
+    assert res.payload["unreachable"] == []
+
+
+def test_parser_reuse_leaks_no_state(k46, tmp_path, monkeypatch):
+    import fanram.cli as cli
+
+    seen = []
+
+    def spy(args):
+        seen.append(args)
+        return cli._cmd_extract(args)
+
+    monkeypatch.setitem(cli._COMMANDS, "extract", spy)
+    plain = ["extract", "--in", k46, "--n", "6"]
+    first = run(plain)
+    assert first.exit_code == 0
+    assert run(["extract", "--in", k46, "--mode", "slow", "--n", "6"]).exit_code == 2
+    trace = str(tmp_path / "t.json")
+    faithful = run(plain[:3] + ["--mode", "faithful", "--trace", trace] + plain[3:])
+    assert faithful.exit_code == 0
+    assert seen[-1].mode == "faithful" and seen[-1].tracefile == trace
+    last = run(plain)
+    assert seen[-1].mode == "fast"
+    assert seen[-1].tracefile is None
+    assert last.payload == first.payload
+    assert len({id(args) for args in seen}) == len(seen) == 3
+    assert cli._build_parser() is cli._build_parser()
+
+
 def test_main_prints_json(capsys):
     code = main(["oracle", "ramsey", "--N", "4", "--n", "1"])
     out = capsys.readouterr().out

@@ -1,9 +1,11 @@
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from fanram.bitset import bit_list, mask_of
-from fanram.coloring import BLACK, WHITE, Color, Coloring, context_of
+from fanram.coloring import _GRID_MIN_N, BLACK, WHITE, Color, Coloring, context_of
 from fanram.errors import (
     DuplicatePairError,
     MissingPairError,
@@ -175,3 +177,30 @@ def test_vertex_sets_are_masks():
     nb = c.neighborhood(2, BLACK)
     assert bit_list(nb) == [0, 1, 3, 4]
     assert nb & (1 << 2) == 0
+
+
+def test_from_triangle_matches_checked_constructor():
+    # the loop below _GRID_MIN_N and the grid from it on, against the
+    # validating constructor, which rejects asymmetric or diagonal bits;
+    # N = 1..40 covers the crossover and its neighbours
+    assert 1 < _GRID_MIN_N < 40
+    for N in (*range(1, 41), 64, 118, 428):
+        rng = random.Random(N)
+        full = (1 << N) - 1
+        draws = {
+            "random": [rng.getrandbits(N) & full << (u + 1) for u in range(N)],
+            "zero": [0] * N,
+            "one": [full << (u + 1) & full for u in range(N)],
+        }
+        for name, upper in draws.items():
+            adj = [0] * N
+            lower = [0] * N
+            for u in range(N):
+                for v in range(u + 1, N):
+                    if upper[u] >> v & 1:
+                        adj[u] |= 1 << v
+                        adj[v] |= 1 << u
+                        lower[v] |= 1 << u
+            want = Coloring(N, tuple(adj))
+            assert Coloring._from_triangle(N, upper) == want, (N, name)
+            assert Coloring._from_triangle(N, lower) == want, (N, name)
