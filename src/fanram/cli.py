@@ -258,15 +258,10 @@ def _cmd_trials(args) -> CommandResult:
         raise PreconditionViolated("count must be positive")
     if args.n < 1:
         raise PreconditionViolated(f"fan parameter must be >= 1, got {args.n}")
-    tasks = []
-    for i in range(args.count):
-        if args.family is None:
-            family, p = _TRIAL_FAMILIES[i % len(_TRIAL_FAMILIES)]
-        elif args.family == "random":
-            family, p = "random", (0.2, 0.5, 0.8)[i % 3]
-        else:
-            family, p = args.family, None
-        tasks.append((i, family, p, args.n, args.seed + i))
+    chosen = [f for f in _TRIAL_FAMILIES if args.family in (None, f[0])]
+    tasks = [
+        (i, *chosen[i % len(chosen)], args.n, args.seed + i) for i in range(args.count)
+    ]
 
     workers = min(_worker_count(), len(tasks))
     if workers > 1:

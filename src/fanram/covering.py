@@ -16,14 +16,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .bitset import bit_list, bits
+from .bitset import bit_list, bits, mask_of
 from .coloring import Coloring
 from .errors import InternalError, PreconditionViolated
-from .matching import Matching, max_deficiency_certificate
+from .matching import Matching, _closure, max_deficiency_certificate
 from .structures import (
     CliqueWitness,
     FanCertificate,
-    _closure,
     _FanBuilder,
     clique_violation,
     is_clique,
@@ -124,10 +123,25 @@ def build_sc(
 
     The fan attempt is _FanBuilder.match_into(N(v) minus A, A minus {v}):
     the greedy maximal matching M inside N(v) outside A, the maximum
-    bipartite matching Mp back into A, and the rest of A paired up; when
-    that reaches n blades there is nothing left to record.  Otherwise the
-    Hall violator of the Mp instance, pruned to inclusion-minimality,
-    becomes S.
+    bipartite matching Mp from X = N(v) minus (A u V(M)) into Y = A minus
+    {v}, and the rest of Y paired up; when that reaches n blades there is
+    nothing left to record.
+
+    Otherwise start is the lowest target = deg + 1 - 2n vertices of X that
+    Mp leaves unmatched, and S is their alternating reach: Mp stays a
+    maximum matching once X shrinks to start plus Mp's own X ends, so
+    max_deficiency_certificate on that instance returns it.  Why S is a
+    valid shadow:
+
+    - Every x in S outside start is matched by Mp to its own neighbour in
+      Y, so def(S) = |S| - |N(S) & Y| = |start| = target exactly, and
+      |S| = |C| + deg - 2n since C = (N(S) & Y) u {v}.
+    - Any T inside S with def(T) >= target contains start and is closed
+      under "take a neighbour, then its mate", so T = S: S is
+      inclusion-minimal among the sets reaching target.
+    - N(S) & Y lies among Mp's Y ends.  The fan fell short, so
+      |M| + |Mp| + floor((|A| - 1 - |Mp|) / 2) <= n - 1, which gives
+      |Mp| <= 2n - |A| and so |C| <= 2n + 1 - |A|.
     """
     col = A.color
     members = A.members
@@ -148,24 +162,14 @@ def build_sc(
         return cert
 
     target = deg + 1 - 2 * n
-    defc = max_deficiency_certificate(c, Mp, X, Y)
+    unmatched = X & ~Mp.vertex_mask()
+    start = mask_of(bit_list(unmatched)[:target])
+    defc = max_deficiency_certificate(c, Mp, X & ~unmatched | start, Y)
     if defc.deficiency < target:
         raise InternalError(
             f"no fan at {v} yet deficiency {defc.deficiency} < {target}"
         )
     S = defc.S
-
-    def deficiency_of(mask: int) -> int:
-        return mask.bit_count() - (_closure(c, col, mask) & Y).bit_count()
-
-    changed = True
-    while changed:
-        changed = False
-        for x in bit_list(S):
-            trial = S & ~(1 << x)
-            if deficiency_of(trial) >= target:
-                S = trial
-                changed = True
 
     rec = SCRecord(
         v=v,

@@ -38,6 +38,14 @@ class Matching:
         return mask_of(v for edge in self.edges for v in edge)
 
 
+def _closure(c: Coloring, col: Color, S: int) -> int:
+    """All vertices joined to some member of S by a col pair."""
+    out = 0
+    for v in bits(S):
+        out |= c.neighborhood(v, col)
+    return out
+
+
 def _checked_scope(c: Coloring, scope: int) -> None:
     if scope & ~c.vertex_mask:
         raise PreconditionViolated("scope contains out-of-range vertices")
@@ -260,10 +268,7 @@ def max_deficiency_certificate(
     S = frontier = X & ~mp.vertex_mask()
     NS = 0
     while frontier:
-        reach = 0
-        for x in bits(frontier):
-            reach |= c.neighborhood(x, col)
-        reach &= Y & ~NS
+        reach = _closure(c, col, frontier) & Y & ~NS
         NS |= reach
         frontier = 0
         for y in bits(reach):

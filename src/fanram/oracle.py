@@ -9,7 +9,6 @@ workers with the start/stop arguments.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 from .coloring import BLACK, WHITE, Coloring
@@ -19,6 +18,7 @@ from .rng import SplitMix64
 from .structures import find_mono_fan
 
 MAX_EXHAUSTIVE_N = 7
+FAN_FREE_EXAMPLE_CAP = 10
 
 
 @dataclass
@@ -40,9 +40,6 @@ class EnumerationReport:
                 for c in self.fan_free_examples
             ],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
 
 
 def enumerate_colorings(
@@ -69,11 +66,11 @@ def enumerate_colorings(
     return EnumerationReport(N=N, n=None, total=count, all_contain=False)
 
 
-def exhaustive_ramsey_check(N: int, n: int, *, example_cap: int = 10) -> EnumerationReport:
+def exhaustive_ramsey_check(N: int, n: int) -> EnumerationReport:
     """Do all colorings of K_N contain a monochromatic fan with n blades?
 
-    Exhaustive over every coloring; collects up to example_cap fan-free
-    colorings when the answer is no.
+    Exhaustive over every coloring; collects up to FAN_FREE_EXAMPLE_CAP
+    fan-free colorings when the answer is no.
     """
     if n > 2:
         raise PreconditionViolated(f"exhaustive check capped at n=2, got n={n}")
@@ -85,7 +82,7 @@ def exhaustive_ramsey_check(N: int, n: int, *, example_cap: int = 10) -> Enumera
         report.total += 1
         if find_mono_fan(c, BLACK, n) is None and find_mono_fan(c, WHITE, n) is None:
             report.all_contain = False
-            if len(report.fan_free_examples) < example_cap:
+            if len(report.fan_free_examples) < FAN_FREE_EXAMPLE_CAP:
                 report.fan_free_examples.append(c)
 
     enumerate_colorings(N, visit)

@@ -24,6 +24,7 @@ from .errors import (
 )
 from .matching import (
     Matching,
+    _closure,
     bipartite_maximum_matching,
     greedy_maximal_matching,
     max_deficiency_certificate,
@@ -37,9 +38,6 @@ class FanCertificate:
     center: int
     blades: tuple[tuple[int, int], ...]
     n_claimed: int
-
-    def vertex_mask(self) -> int:
-        return mask_of(v for blade in self.blades for v in blade) | 1 << self.center
 
     def to_json_dict(self) -> dict:
         return {
@@ -118,10 +116,10 @@ class CliqueWitness:
 def clique_violation(c: Coloring, w: CliqueWitness) -> str | None:
     if w.members & ~c.vertex_mask:
         return "clique contains out-of-range vertices"
-    verts = bit_list(w.members)
-    for i, u in enumerate(verts):
+    # missing pairs are symmetric, so the first u with one has all of its
+    # missing partners above it
+    for u in bits(w.members):
         missing = w.members & ~c.neighborhood(u, w.color) & ~(1 << u)
-        missing &= ~mask_of(verts[: i + 1])
         if missing:
             v = lowest(missing)
             return f"pair ({u},{v}) is not {w.color.value}"
@@ -140,14 +138,6 @@ def fan_from_clique(c: Coloring, w: CliqueWitness, n: int) -> FanCertificate:
     fb = _FanBuilder(c, w.color, lowest(w.members))
     fb.pair_within(w.members)
     return fb.build(n)
-
-
-def _closure(c: Coloring, col: Color, S: int) -> int:
-    """All vertices joined to some member of S by a col pair."""
-    out = 0
-    for v in bits(S):
-        out |= c.neighborhood(v, col)
-    return out
 
 
 def _must_verify(c: Coloring, cert: FanCertificate) -> FanCertificate:

@@ -14,7 +14,7 @@ def cover_gadget(groups: int, group_size: int, blob: int, n: int):
     vertices.  Each clique vertex m owns a private blob of `blob` extra
     vertices joined in black to every member of m's group and to nothing
     else; the blob zone is white inside.  Every shadow construction then
-    fails its fan attempt, the shadow of v prunes into v's group blobs,
+    fails its fan attempt, the shadow of v lies in v's group blobs,
     and the contact set of v is exactly v's group, so the greedy cover
     picks one representative per group.
 

@@ -238,6 +238,10 @@ def test_trials_single_family(monkeypatch):
     res = run(["trials", "--n", "3", "--count", "3", "--seed", "5", "--family", "pentagon_blowup"])
     assert res.exit_code == 0
     assert list(res.payload["families"]) == ["pentagon_blowup"]
+    res = run(["trials", "--n", "3", "--count", "4", "--seed", "5", "--family", "random"])
+    assert res.exit_code == 0
+    runs = {k: f["runs"] for k, f in res.payload["families"].items()}
+    assert runs == {"random_p0.2": 2, "random_p0.5": 1, "random_p0.8": 1}
 
 
 def test_unreachable_branch_maps_to_exit_3(k46, monkeypatch):

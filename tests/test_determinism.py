@@ -30,8 +30,8 @@ from test_io import _black_graph
 from test_structures import _split_instance
 
 FORMAT_SHA256 = "7701bece23740d57d80752740637002c304adac95614410cec2c2ab8fb184cfc"
-FROZEN_SHA256 = "30ee1784eb6ec98fb6bae6df4d21361a3e6035f11594c9db33b734dc64bc0531"
-FAN_SHA256 = "670dc905c9311581db33cf29e8422bea27e10738c5b2703508fd840737096682"
+FROZEN_SHA256 = "6ced70dd99734f7b0ccf53ac67fd0ec8a521d96d9c386118973232fb50bd3d44"
+FAN_SHA256 = "a62fa6f0b2f7503305330085f98ef0c069713d8713ea2819c7534dd451e09c18"
 
 
 def _trial_colorings():

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import example, given
@@ -18,6 +19,7 @@ from fanram.structures import (
     CliqueWitness,
     FanCertificate,
     _FanBuilder,
+    clique_violation,
     fan_from_clique,
     fan_violation,
     find_clique,
@@ -28,6 +30,27 @@ from fanram.structures import (
     verify_fan,
 )
 from test_coloring import colorings
+
+
+def test_clique_violation_names_the_first_bad_pair():
+    rng = random.Random(5)
+    outcomes = {True: 0, False: 0}
+    for seed in range(300):
+        N = rng.randint(1, 12)
+        c = random_coloring(N, seed, rng.choice((0.5, 0.9)))
+        members = rng.getrandbits(N) & rng.getrandbits(N)
+        for col in (BLACK, WHITE):
+            want = next(
+                (
+                    f"pair ({u},{v}) is not {col.value}"
+                    for u, v in combinations(bit_list(members), 2)
+                    if c.pair_color(u, v) is not col
+                ),
+                None,
+            )
+            assert clique_violation(c, CliqueWitness(col, members)) == want
+            outcomes[want is None] += 1
+    assert min(outcomes.values()) > 100
 
 
 def _pentagon():
