@@ -212,7 +212,7 @@ _TRIAL_FAMILIES = (
 def trial_coloring(family: str, p: float | None, N: int, n: int, seed: int) -> Coloring:
     if family == "random":
         return random_coloring(N, seed, p)
-    return adversarial_coloring(family, N, n, seed)
+    return adversarial_coloring(family, N, seed)
 
 
 def _run_trial(task: tuple) -> dict:

@@ -212,10 +212,11 @@ def context_of(c: Coloring, n: int) -> Context:
         raise PreconditionViolated(f"fan parameter must be >= 1, got {n}")
     best = -1
     witness = (0, BLACK)
-    for v in range(c.N):
-        for color in (BLACK, WHITE):
-            deg = c.degree(v, color)
-            if deg > best:
-                best = deg
-                witness = (v, color)
+    others = c.N - 1
+    for v, row in enumerate(c._black):
+        black = row.bit_count()
+        if black > best:
+            best, witness = black, (v, BLACK)
+        if others - black > best:
+            best, witness = others - black, (v, WHITE)
     return Context(n=n, N=c.N, d=best, d_witness=witness)

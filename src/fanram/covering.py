@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cache
 
 from .bitset import bit_list, bits, mask_of
 from .coloring import Coloring
@@ -252,7 +253,7 @@ def cover_violation(
     """First violated cover invariant, or None.
 
     Verifies every member record, coverage, the greedy maximality of each
-    step (recomputing the contact sets of the unchosen vertices), shadow
+    step (recomputing the contact set of each unchosen vertex once), shadow
     disjointness, non-increasing marginals, and the cover-length bound
     forced by the contact-size cap.
     """
@@ -265,13 +266,10 @@ def cover_violation(
     if rec.t < 1:
         return "empty sequence"
 
+    @cache
     def contact_of(z: int) -> int | None:
-        if _all_records is not None:
-            return _all_records[z].C
-        out = build_sc(c, rec.A, z, n)
-        if isinstance(out, FanCertificate):
-            return None
-        return out.C
+        out = build_sc(c, rec.A, z, n) if _all_records is None else _all_records[z]
+        return None if isinstance(out, FanCertificate) else out.C
 
     for v, sc in rec.sequence:
         if sc.v != v or sc.clique != rec.A:

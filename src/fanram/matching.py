@@ -8,9 +8,10 @@ and search orders are by ascending vertex index.
 
 The general maximum matching starts from the greedy one and augments along
 blossom paths (Edmonds 1965) only when the greedy matching falls short.
-The bipartite maximum matching is Hopcroft-Karp (1973).  The Hall violator
-of maximum deficiency is read off a maximum bipartite matching the caller
-already holds, by one alternating search, so no instance is solved twice.
+The bipartite maximum matching and the Hall violator of maximum deficiency
+are two readings of one alternating search: the matching grows the greedy
+one along its augmenting paths, and the violator is read off a maximum
+matching the caller already holds, so no instance is solved twice.
 """
 
 from __future__ import annotations
@@ -179,55 +180,57 @@ def maximum_matching_general(
     return Matching(col, tuple((v, match[v]) for v in verts if v < match[v]))
 
 
-def bipartite_maximum_matching(
-    c: Coloring, col: Color, X: int, Y: int
-) -> Matching:
-    """Maximum matching using only col-colored X-Y pairs (Hopcroft-Karp).
+def _alternating_layers(
+    c: Coloring, col: Color, mate: list[int], xs: int, Y: int
+) -> tuple[list[tuple[int, int]], int]:
+    """Breadth-first alternating search from the X vertices xs: each Y layer
+    is the unseen col neighbours in Y of its X layer, and the next X layer
+    the mates of that Y layer.  Returns the (X, Y) layers and the mateless
+    vertices of the last Y layer, where the search stops (0 if it ran dry).
+    """
+    layers = []
+    seen = 0
+    while xs:
+        ys = _closure(c, col, xs) & Y & ~seen
+        seen |= ys
+        layers.append((xs, ys))
+        ends = xs = 0
+        for y in bits(ys):
+            if mate[y] == -1:
+                ends |= 1 << y
+            else:
+                xs |= 1 << mate[y]
+        if ends:
+            return layers, ends
+    return layers, 0
 
+
+def bipartite_maximum_matching(c: Coloring, col: Color, X: int, Y: int) -> Matching:
+    """Maximum matching using only col-colored X-Y pairs.
+
+    Grows greedy_bipartite_matching: while the alternating search from the
+    unmatched X vertices ends at an unmatched y (the lowest), walk back
+    through its layers, in each taking the lowest X vertex adjacent to y,
+    and swap mates along that shortest augmenting path.  Once the search
+    runs dry no augmenting path is left, so the matching is maximum (Berge).
     Edges are ordered by their X endpoint, each written low vertex first.
     """
-    _checked_sides(c, X, Y)
-    xs = bit_list(X)
+    greedy = greedy_bipartite_matching(c, col, X, Y)
     mate = [-1] * c.N
-    INF = float("inf")
-    dist = [INF] * c.N
-
-    def bfs() -> bool:
-        q = deque()
-        for x in xs:
-            if mate[x] == -1:
-                dist[x] = 0
-                q.append(x)
-            else:
-                dist[x] = INF
-        reachable_free = False
-        while q:
-            x = q.popleft()
-            for y in bits(c.neighborhood(x, col) & Y):
-                x2 = mate[y]
-                if x2 == -1:
-                    reachable_free = True
-                elif dist[x2] == INF:
-                    dist[x2] = dist[x] + 1
-                    q.append(x2)
-        return reachable_free
-
-    def dfs(x: int) -> bool:
-        for y in bits(c.neighborhood(x, col) & Y):
-            x2 = mate[y]
-            if x2 == -1 or (dist[x2] == dist[x] + 1 and dfs(x2)):
-                mate[x] = y
-                mate[y] = x
-                return True
-        dist[x] = INF
-        return False
-
-    while bfs():
-        for x in xs:
-            if mate[x] == -1:
-                dfs(x)
+    for x, y in greedy.edges:
+        mate[x], mate[y] = y, x
+    free = X & ~greedy.vertex_mask()
+    while free:
+        layers, ends = _alternating_layers(c, col, mate, free, Y)
+        if not ends:
+            break
+        y = lowest(ends)
+        for xs, _ in reversed(layers):
+            x = lowest(xs & c.neighborhood(y, col))
+            mate[y], mate[x], y = x, y, mate[x]  # y moves on to x's old mate
+        free ^= 1 << x
     edges = tuple(
-        (x, y) if x < y else (y, x) for x in xs if (y := mate[x]) != -1
+        (x, y) if x < y else (y, x) for x in bits(X) if (y := mate[x]) != -1
     )
     return Matching(col, edges)
 
@@ -265,19 +268,15 @@ def max_deficiency_certificate(
         if not (X >> x & 1 and Y >> y & 1 and c.neighborhood(x, col) >> y & 1):
             raise PreconditionViolated(f"matching edge {a},{b} is not an X-Y edge")
         mate[y] = x
-    S = frontier = X & ~mp.vertex_mask()
-    NS = 0
-    while frontier:
-        reach = _closure(c, col, frontier) & Y & ~NS
-        NS |= reach
-        frontier = 0
-        for y in bits(reach):
-            if mate[y] == -1:
-                raise PreconditionViolated(
-                    "alternating path reaches a free Y vertex: matching not maximum"
-                )
-            frontier |= 1 << mate[y]
-        S |= frontier
+    layers, ends = _alternating_layers(c, col, mate, X & ~mp.vertex_mask(), Y)
+    if ends:
+        raise PreconditionViolated(
+            "alternating path reaches a free Y vertex: matching not maximum"
+        )
+    S = NS = 0
+    for xs, ys in layers:
+        S |= xs
+        NS |= ys
     deficiency = S.bit_count() - NS.bit_count()
     if deficiency != X.bit_count() - mp.size:
         raise InternalError("deficiency certificate disagrees with matching size")

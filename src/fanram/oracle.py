@@ -130,7 +130,7 @@ _PENTAGON_INSIDE = 0.10
 _CLIQUE_NOISE = 0.50
 
 
-def adversarial_coloring(kind: str, N: int, n: int, seed: int) -> Coloring:
+def adversarial_coloring(kind: str, N: int, seed: int) -> Coloring:
     """Structured stress colorings with seeded perturbation.
 
     bipartite_blowup: black across two near-equal halves, every pair then
@@ -139,8 +139,7 @@ def adversarial_coloring(kind: str, N: int, n: int, seed: int) -> Coloring:
     a part black with probability 0.10.  clique_plus_noise: pairs inside
     the first ceil(7N/12) vertices always black, the rest fair coin.  One
     draw per pair in canonical order regardless of whether the pair is
-    forced, so structure never shifts the stream.  n is accepted for a
-    uniform signature; the shapes depend only on N and the seed.
+    forced, so structure never shifts the stream.
     """
     if N < 5:
         raise PreconditionViolated(f"adversarial colorings need N >= 5, got {N}")

@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import pytest
 
+from fanram import covering
 from fanram.bitset import bit_list, bits, lowest, mask_of
 from fanram.coloring import BLACK, WHITE, Coloring
 from fanram.covering import (
@@ -57,7 +58,7 @@ def test_build_sc_record_from_seeded_search():
     # first seed whose pentagon blow-up stays black-triangle-free, found
     # by a seeded scan with the fan search as the filter
     seed = 0
-    c = adversarial_coloring("pentagon_blowup", 10, 1, seed)
+    c = adversarial_coloring("pentagon_blowup", 10, seed)
     assert find_mono_fan(c, BLACK, 1) is None
     u = 0
     v = lowest(c.neighborhood(0, BLACK))
@@ -72,7 +73,7 @@ def test_build_sc_record_from_seeded_search():
 
 def test_build_sc_prunes_to_inclusion_minimal():
     seed = 0
-    c = adversarial_coloring("pentagon_blowup", 10, 1, seed)
+    c = adversarial_coloring("pentagon_blowup", 10, seed)
     u = 0
     v = lowest(c.neighborhood(0, BLACK))
     A = CliqueWitness(BLACK, mask_of([u, v]))
@@ -130,7 +131,7 @@ def _seeded_records():
 def _shadow_records():
     """(coloring, record, n) for the pentagon record, every record of three
     cover gadgets, and the seeded sparse records."""
-    c = adversarial_coloring("pentagon_blowup", 10, 1, 0)
+    c = adversarial_coloring("pentagon_blowup", 10, 0)
     A = CliqueWitness(BLACK, mask_of([0, lowest(c.neighborhood(0, BLACK))]))
     yield c, build_sc(c, A, 0, 1), 1
     for args in ((4, 3, 8, 11), (3, 3, 2, 6), (4, 2, 2, 5)):
@@ -271,6 +272,22 @@ def test_cover_violation_names_each_corruption():
     assert cover_violation(c, rec, 5) is None
     bad = replace(rec, sequence=((6, seen[6]),) + rec.sequence[1:])  # C = {6, 7}
     assert cover_violation(c, bad, 5) == "step 1 picked 6 but 0 covers more"
+
+
+@pytest.mark.parametrize("args", [(4, 3, 8, 11), (5, 6, 8, 18), (4, 8, 8, 20)])
+def test_cover_violation_builds_each_record_at_most_once(args, monkeypatch):
+    c, A = cover_gadget(*args)
+    n = args[3]
+    rec = compute_cover(c, A, n)
+    built = []
+
+    def spy(*call):
+        built.append(call[2])
+        return build_sc(*call)
+
+    monkeypatch.setattr(covering, "build_sc", spy)
+    assert cover_violation(c, rec, n) is None
+    assert len(built) == len(set(built)) <= A.members.bit_count()
 
 
 def test_compute_cover_gadget_t4():

@@ -89,7 +89,7 @@ def test_extract_perspective_symmetry():
 
 def test_extract_deterministic():
     for seed in (1, 17):
-        c = adversarial_coloring("clique_plus_noise", 46, 6, seed)
+        c = adversarial_coloring("clique_plus_noise", 46, seed)
         a_cert, a_trace = extract_fan(c, 6, mode="faithful")
         b_cert, b_trace = extract_fan(c, 6, mode="faithful")
         assert a_cert.to_json() == b_cert.to_json()
@@ -99,7 +99,7 @@ def test_extract_deterministic():
 def test_extract_adversarial_families():
     for kind in ("bipartite_blowup", "pentagon_blowup", "clique_plus_noise"):
         for seed in range(6):
-            c = adversarial_coloring(kind, 46, 6, seed)
+            c = adversarial_coloring(kind, 46, seed)
             cert, _ = extract_fan(c, 6, mode="faithful")
             assert verify_fan(c, cert)
 
@@ -108,7 +108,7 @@ def test_fast_and_faithful_agree_on_existence():
     # both modes must always succeed above the guaranteed order, even if
     # the certificates differ
     for kind in ("bipartite_blowup", "pentagon_blowup", "clique_plus_noise"):
-        c = adversarial_coloring(kind, 46, 6, seed=11)
+        c = adversarial_coloring(kind, 46, seed=11)
         fast_cert, fast_trace = extract_fan(c, 6, mode="fast")
         faithful_cert, _ = extract_fan(c, 6, mode="faithful")
         assert verify_fan(c, fast_cert) and verify_fan(c, faithful_cert)

@@ -186,16 +186,29 @@ def test_bipartite_rejects_overlap():
 
 
 def test_bipartite_matches_bruteforce():
-    for seed in range(40):
-        c = random_coloring(14, seed, 0.4)
-        X = mask_of(range(7))
-        Y = mask_of(range(7, 14))
-        got = bipartite_maximum_matching(c, BLACK, X, Y).size
-        assert got == brute_max_bipartite(c, BLACK, X, Y)
-        # edges must stay inside the bipartition
-        m = bipartite_maximum_matching(c, BLACK, X, Y)
-        for a, b in m.edges:
-            assert (X >> a & 1) != (X >> b & 1)
+    # equal sides, and nine X vertices above five Y vertices so that edges
+    # are written Y end first
+    sides = [
+        (mask_of(range(7)), mask_of(range(7, 14))),
+        (mask_of(range(5, 14)), mask_of(range(5))),
+    ]
+    grown = 0
+    for p in (0.4, 0.25):
+        for X, Y in sides:
+            for seed in range(40):
+                c = random_coloring(14, seed, p)
+                m = bipartite_maximum_matching(c, BLACK, X, Y)
+                assert m.size == brute_max_bipartite(c, BLACK, X, Y)
+                x_ends = []
+                for a, b in m.edges:
+                    x, y = (a, b) if X >> a & 1 else (b, a)
+                    assert a < b and X >> x & 1 and Y >> y & 1
+                    assert c.pair_color(a, b) is BLACK
+                    x_ends.append(x)
+                assert x_ends == sorted(x_ends)
+                grown += m.size - greedy_bipartite_matching(c, BLACK, X, Y).size >= 2
+    # instances needing two or more augmentations past the greedy seed
+    assert grown >= 5
 
 
 def test_deficiency_star_example():

@@ -108,7 +108,7 @@ def test_splitmix_reference_values():
 
 
 def test_adversarial_pentagon_structure():
-    c = adversarial_coloring("pentagon_blowup", 45, 6, seed=9)
+    c = adversarial_coloring("pentagon_blowup", 45, seed=9)
     part = lambda v: v // 9
     for u in range(45):
         for v in range(u + 1, 45):
@@ -118,7 +118,7 @@ def test_adversarial_pentagon_structure():
 
 
 def test_adversarial_clique_planted():
-    c = adversarial_coloring("clique_plus_noise", 46, 6, seed=7)
+    c = adversarial_coloring("clique_plus_noise", 46, seed=7)
     planted = -(-7 * 46 // 12)
     for u in range(planted):
         for v in range(u + 1, planted):
@@ -126,7 +126,7 @@ def test_adversarial_clique_planted():
 
 
 def test_adversarial_bipartite_mostly_cross():
-    c = adversarial_coloring("bipartite_blowup", 46, 6, seed=3)
+    c = adversarial_coloring("bipartite_blowup", 46, seed=3)
     half = 23
     cross_black = sum(
         1
@@ -138,9 +138,9 @@ def test_adversarial_bipartite_mostly_cross():
 
 
 def test_adversarial_determinism_and_errors():
-    a = adversarial_coloring("bipartite_blowup", 46, 6, 5)
-    assert a == adversarial_coloring("bipartite_blowup", 46, 6, 5)
+    a = adversarial_coloring("bipartite_blowup", 46, 5)
+    assert a == adversarial_coloring("bipartite_blowup", 46, 5)
     with pytest.raises(PreconditionViolated):
-        adversarial_coloring("nope", 46, 6, 5)
+        adversarial_coloring("nope", 46, 5)
     with pytest.raises(PreconditionViolated):
-        adversarial_coloring("pentagon_blowup", 4, 6, 5)
+        adversarial_coloring("pentagon_blowup", 4, 5)
