@@ -38,7 +38,6 @@ from .oracle import (
 from .structures import (
     CliqueWitness,
     FanCertificate,
-    clique_violation,
     fan_violation,
     find_mono_fan,
 )
@@ -187,11 +186,7 @@ def _cmd_cover(args) -> CommandResult:
         if not 0 <= v < coloring.N:
             raise PreconditionViolated(f"clique vertex {v} outside [0, {coloring.N})")
     color = BLACK if args.color == "B" else WHITE
-    witness = CliqueWitness(color, mask_of(vertices))
-    bad = clique_violation(coloring, witness)
-    if bad is not None:
-        raise PreconditionViolated(f"not a {color.value} clique: {bad}")
-    out = compute_cover(coloring, witness, args.n)
+    out = compute_cover(coloring, CliqueWitness(color, mask_of(vertices)), args.n)
     if isinstance(out, FanCertificate):
         return CommandResult(
             EXIT_OK, {"result": "fan", "certificate": out.to_json_dict()}
@@ -216,11 +211,10 @@ def trial_coloring(family: str, p: float | None, N: int, n: int, seed: int) -> C
 
 
 def _run_trial(task: tuple) -> dict:
-    index, family, p, n, seed = task
+    family, p, n, seed = task
     N = min_order(n)
     coloring = trial_coloring(family, p, N, n, seed)
     out = {
-        "index": index,
         "family": family if p is None else f"{family}_p{p}",
         "seed": seed,
         "ok": False,
@@ -237,8 +231,6 @@ def _run_trial(task: tuple) -> dict:
         out["error"] = f"{type(exc).__name__}: {exc}"
         return out
     out["ok"] = fan_violation(coloring, cert) is None
-    out["color"] = cert.color.value
-    out["center"] = cert.center
     out["labels"] = trace.labels()
     return out
 
@@ -260,7 +252,7 @@ def _cmd_trials(args) -> CommandResult:
         raise PreconditionViolated(f"fan parameter must be >= 1, got {args.n}")
     chosen = [f for f in _TRIAL_FAMILIES if args.family in (None, f[0])]
     tasks = [
-        (i, *chosen[i % len(chosen)], args.n, args.seed + i) for i in range(args.count)
+        (*chosen[i % len(chosen)], args.n, args.seed + i) for i in range(args.count)
     ]
 
     workers = min(_worker_count(), len(tasks))
@@ -290,8 +282,8 @@ def _cmd_trials(args) -> CommandResult:
         "N": min_order(args.n),
         "count": args.count,
         "seed": args.seed,
-        "families": {k: families[k] for k in sorted(families)},
-        "branch_coverage": {k: coverage[k] for k in sorted(coverage)},
+        "families": families,
+        "branch_coverage": coverage,
         "failures": failures,
         "unreachable": unreachable,
     }

@@ -9,6 +9,11 @@ contact sets exhaust A; their combinatorics (disjoint shadows, bounded
 contacts, non-increasing marginals) drive every later fan construction.
 The fan attempt behind each record is structures._FanBuilder.match_into,
 the same one the extractor's blocker step makes.
+
+Nothing here logs: compute_cover returns the cover or the fan.  The
+extractor keeps each cover a step dispatched on, with the working coloring
+it lives in, in ExtractionTrace.records; the cover holds its chosen shadow
+records, and cover_violation rebuilds the unchosen ones.
 """
 
 from __future__ import annotations
@@ -188,19 +193,18 @@ def build_sc(
 
 
 def compute_cover(
-    c: Coloring,
-    A: CliqueWitness,
-    n: int,
-    *,
-    sink=None,
+    c: Coloring, A: CliqueWitness, n: int
 ) -> CoverRecord | FanCertificate:
     """Greedy cover of A by contact sets, deterministic given (c, A, n).
 
     v_1 maximizes |C(v, A)|; each later v_i is drawn from the uncovered
     part of A and maximizes the marginal coverage, ties to the lowest
     index.  Any fan produced by a shadow construction is propagated
-    instead.  sink, when given, receives every record built.
+    instead.  A must be a clique in its color.
     """
+    bad = clique_violation(c, A)
+    if bad is not None:
+        raise PreconditionViolated(f"not a {A.color.value} clique: {bad}")
     members = A.members
     size_a = members.bit_count()
     if not n < size_a < 2 * n + 1:
@@ -218,8 +222,6 @@ def compute_cover(
         if isinstance(out, FanCertificate):
             return out
         recs[v] = out
-        if sink is not None:
-            sink(out)
 
     covered = 0
     sequence = []
@@ -238,8 +240,6 @@ def compute_cover(
     violation = cover_violation(c, rec, n, _all_records=recs)
     if violation is not None:
         raise InternalError(f"built a bad cover: {violation}")
-    if sink is not None:
-        sink(rec)
     return rec
 
 

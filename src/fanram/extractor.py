@@ -88,11 +88,12 @@ class ResidueClique:
 
 
 class ExtractionTrace:
-    """Ordered step log of one extraction, plus the records it built.
+    """Ordered step log of one extraction, plus the covers it used.
 
-    steps is JSON-ready; records keeps the actual shadow and cover
-    objects (paired with the working coloring they live in) for invariant
-    audits.
+    steps is JSON-ready; records holds (working coloring, CoverRecord) for
+    each cover a step dispatched on, for invariant audits.  The working
+    coloring is the swapped one when the d-witness is white.  This module
+    is the only writer of both.
     """
 
     def __init__(self, n: int, N: int, mode: str):
@@ -101,13 +102,10 @@ class ExtractionTrace:
         self.mode = mode
         self.steps: list[dict] = []
         self.certificate: FanCertificate | None = None
-        self.records: list[tuple[Coloring, object]] = []
+        self.records: list[tuple[Coloring, CoverRecord]] = []
 
     def record(self, case: str, **info) -> None:
         self.steps.append({"case": case, **info})
-
-    def sink_for(self, c: Coloring):
-        return lambda rec: self.records.append((c, rec))
 
     def labels(self) -> list[str]:
         return [s["case"] for s in self.steps]
@@ -125,6 +123,18 @@ class ExtractionTrace:
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True)
+
+
+def _finish(
+    fb: _FanBuilder, n: int, trace: ExtractionTrace, label: str, short: str, **details
+) -> FanCertificate:
+    """The verified fan of fb, recorded on trace as label; falling short of
+    n blades is the unreachable branch named short."""
+    cert = fb.build(n)
+    if cert is None:
+        raise UnreachableBranch(short, blades=fb.count(), **details)
+    trace.record(label, center=fb.center)
+    return cert
 
 
 def extract_fan(
@@ -206,13 +216,13 @@ def _band_entry(
     cc = 3 * n + 4 - d
     if not (0 < cc < Fraction(5 * n, 8)) or H.bit_count() != 3 * n - cc + 4:
         raise UnreachableBranch(f"{band}.search_window", d=d, cc=cc)
-    sw = find_unavoidable_structure(cw, BLACK, H, n, cc)
-    trace.record(f"{band}.search", cc=cc, outcome=sw.kind)
-    if sw.kind == "matching":
-        return _must_verify(cw, FanCertificate(BLACK, w, sw.matching.edges, n))
-    if sw.kind == "complement_fan":
-        return sw.fan
-    return _clique_pipeline(cw, n, sw.clique, trace, band)
+    kind, found = find_unavoidable_structure(cw, BLACK, H, n, cc)
+    trace.record(f"{band}.search", cc=cc, outcome=kind)
+    if kind == "matching":
+        return _must_verify(cw, FanCertificate(BLACK, w, found.edges, n))
+    if kind == "complement_fan":
+        return found
+    return _clique_pipeline(cw, n, found, trace, band)
 
 
 def _clique_pipeline(
@@ -225,10 +235,11 @@ def _clique_pipeline(
     if size >= 2 * n + 1:
         trace.record("clique_fan")
         return fan_from_clique(c, clique, n)
-    cover = compute_cover(c, clique, n, sink=trace.sink_for(c))
+    cover = compute_cover(c, clique, n)
     if isinstance(cover, FanCertificate):
         trace.record("cover_fan")
         return cover
+    trace.records.append((c, cover))
     trace.record("cover", t=cover.t, size=size)
     if cover.t >= 4:
         return _t4(c, n, clique, cover, trace)
@@ -283,18 +294,18 @@ def _unbalanced_vertex(
             "mid.unbalanced.window", vertex=vi, cc=cc, white_degree=NW.bit_count()
         )
     scope = mask_of(bit_list(NW)[:need])
-    sw = find_unavoidable_structure(c, opp, scope, n, cc)
-    trace.record("mid.unbalanced", vertex=vi, outcome=sw.kind)
-    if sw.kind == "matching":
+    kind, found = find_unavoidable_structure(c, opp, scope, n, cc)
+    trace.record("mid.unbalanced", vertex=vi, outcome=kind)
+    if kind == "matching":
         # an opp matching: blades for an opp fan at vi, whose opp
         # neighborhood contains the scope
-        return _must_verify(c, FanCertificate(opp, vi, sw.matching.edges, n))
-    if sw.kind == "complement_fan":
-        return sw.fan
-    if sw.kind == "clique":
+        return _must_verify(c, FanCertificate(opp, vi, found.edges, n))
+    if kind == "complement_fan":
+        return found
+    if kind == "clique":
         # an opp clique; pair it against A, which is disjoint from the
         # scope
-        B = sw.clique.members
+        B = found.members
         if B & A.members:
             raise InternalError("opposite-neighborhood clique meets the base clique")
         k = min(A.size, B.bit_count())
@@ -311,7 +322,7 @@ def _unbalanced_vertex(
     raise UnreachableBranch(
         "mid.unbalanced.black_clique",
         vertex=vi,
-        clique_size=sw.clique.size,
+        clique_size=found.size,
         base_size=A.size,
     )
 
@@ -405,7 +416,8 @@ def _build_residue(
     else:
         fb.pair_across(T, S12 & ~NT)
         fb.pair_within(T)
-    return fb.finish(
+    return _finish(
+        fb,
         n,
         trace,
         f"{label}.residue_fan",
@@ -456,8 +468,8 @@ def _tail34(
             fb = _FanBuilder(c, opp, v3)
             fb.pair_within(S1)
             fb.pair_within(S2)
-            return fb.finish(
-                n, trace, "big3.residual_fan", "big3.residual_count", marg3=marg3
+            return _finish(
+                fb, n, trace, "big3.residual_fan", "big3.residual_count", marg3=marg3
             )
 
     blocker = _find_blocker(c, n, cover, threshold, trace, variant)
@@ -480,7 +492,7 @@ def _tail34(
         fb.pair_across(members & ~C1, S1)
         fb.pair_within(S1)
         fb.pair_within(Cm & S2)
-        return fb.finish(n, trace, f"{variant}.final1", f"{variant}.final1_count")
+        return _finish(fb, n, trace, f"{variant}.final1", f"{variant}.final1_count")
 
     a2 = lowest(Cm & S2)
     if variant == "big3" and C2.bit_count() < Fraction(5 * n, 18):
@@ -489,13 +501,13 @@ def _tail34(
         fb.pair_within(Cm & S1)
         fb.pair_across(S2, members & ~C2)
         fb.pair_within(S2)
-        return fb.finish(n, trace, "big3.final3", "big3.final3_count")
+        return _finish(fb, n, trace, "big3.final3", "big3.final3_count")
 
     fb = _FanBuilder(c, opp, a2)
     fb.pair_across(S2, members & ~C2)
     fb.pair_within(S2)
     fb.pair_within(Cm & S1)
-    return fb.finish(n, trace, f"{variant}.final2", f"{variant}.final2_count")
+    return _finish(fb, n, trace, f"{variant}.final2", f"{variant}.final2_count")
 
 
 def _two_cover(
@@ -535,10 +547,11 @@ def _two_cover_core(
     the intersection of their first overlapping shadows."""
     opp = col.swap()
     Aw = CliqueWitness(col, A)
-    cover_a = compute_cover(c, Aw, n, sink=trace.sink_for(c))
+    cover_a = compute_cover(c, Aw, n)
     if isinstance(cover_a, FanCertificate):
         trace.record("two_cover.cover_a_fan")
         return cover_a
+    trace.records.append((c, cover_a))
     if cover_a.t >= 4:
         return _t4(c, n, Aw, cover_a, trace)
     if cover_a.t == 3:
@@ -548,10 +561,11 @@ def _two_cover_core(
     if B.bit_count() < n + 1:
         raise UnreachableBranch("two_cover.b_small", b=B.bit_count(), n=n)
     Bw = CliqueWitness(col, B)
-    cover_b = compute_cover(c, Bw, n, sink=trace.sink_for(c))
+    cover_b = compute_cover(c, Bw, n)
     if isinstance(cover_b, FanCertificate):
         trace.record("two_cover.cover_b_fan")
         return cover_b
+    trace.records.append((c, cover_b))
     if cover_b.t >= 4:
         return _t4(c, n, Bw, cover_b, trace)
 
@@ -578,7 +592,7 @@ def _two_cover_core(
         fb.pair_across(A & ~p1.C, p1.S)
         fb.pair_within(p1.S)
         fb.pair_within(pwi.S)
-        return fb.finish(n, trace, "two_cover.fan_wide", "two_cover.wide_count")
+        return _finish(fb, n, trace, "two_cover.fan_wide", "two_cover.wide_count")
 
     inter = p1.S & pwi.S
     if inter.bit_count() >= Fraction(4 * n, 3) + 1:
@@ -589,4 +603,4 @@ def _two_cover_core(
     fb.pair_across(A & ~p1.C, p1.S)
     fb.pair_within(p1.S)
     fb.pair_within(pwi.S)
-    return fb.finish(n, trace, "two_cover.fan_tight", "two_cover.tight_count")
+    return _finish(fb, n, trace, "two_cover.fan_tight", "two_cover.tight_count")

@@ -16,12 +16,7 @@ from operator import index
 
 from .bitset import bit_list, bits, lowest, mask_of
 from .coloring import Color, Coloring
-from .errors import (
-    ConstructionFailure,
-    PreconditionViolated,
-    StructureSearchFailure,
-    UnreachableBranch,
-)
+from .errors import ConstructionFailure, PreconditionViolated, StructureSearchFailure
 from .matching import (
     Matching,
     _closure,
@@ -214,15 +209,6 @@ class _FanBuilder:
             self.c, FanCertificate(self.color, self.center, tuple(self.blades[:n]), n)
         )
 
-    def finish(self, n: int, trace, label: str, short: str, **details) -> FanCertificate:
-        """The verified fan, recorded on trace as label; falling short of n
-        blades is the unreachable branch named short."""
-        cert = self.build(n)
-        if cert is None:
-            raise UnreachableBranch(short, blades=self.count(), **details)
-        trace.record(label, center=self.center)
-        return cert
-
 
 def find_mono_fan(
     c: Coloring, col: Color, n: int, scope: int | None = None
@@ -296,29 +282,17 @@ def find_clique(
     return w
 
 
-@dataclass(frozen=True)
-class StructureWitness:
-    """Tagged outcome of find_unavoidable_structure.
-
-    kind is one of "matching" (n disjoint edges of the search color),
-    "complement_fan" (a fan with n blades in the opposite color), "clique"
-    (search color, 2n-2cc vertices) or "complement_clique" (opposite
-    color, same size).
-    """
-
-    kind: str
-    matching: Matching | None = None
-    fan: FanCertificate | None = None
-    clique: CliqueWitness | None = None
-
-
 def find_unavoidable_structure(
     c: Coloring, col: Color, scope: int, n: int, cc: int
-) -> StructureWitness:
+) -> tuple[str, Matching | FanCertificate | CliqueWitness]:
     """Search a scope of exactly 3n - cc + 4 vertices (0 < cc < 5n/8) for,
     in fixed priority order: a col matching of n edges, a fan with n
     blades in the opposite color, a col clique on 2n - 2cc vertices, or an
     opposite-color clique on 2n - 2cc vertices.
+
+    Returns (kind, witness): ("matching", Matching), ("complement_fan",
+    FanCertificate), ("clique", CliqueWitness) or ("complement_clique",
+    CliqueWitness).
 
     At these sizes at least one of the four always exists, so exhausting
     all four raises StructureSearchFailure, which indicates a bug or a
@@ -333,20 +307,20 @@ def find_unavoidable_structure(
 
     m = maximum_matching_general(c, col, scope, stop_at=n)
     if m.size >= n:
-        return StructureWitness("matching", matching=Matching(col, m.edges[:n]))
+        return "matching", Matching(col, m.edges[:n])
 
     fan = find_mono_fan(c, col.swap(), n, scope)
     if fan is not None:
-        return StructureWitness("complement_fan", fan=fan)
+        return "complement_fan", fan
 
     target = 2 * n - 2 * cc
     clique = find_clique(c, col, target, scope)
     if clique is not None:
-        return StructureWitness("clique", clique=clique)
+        return "clique", clique
 
     clique = find_clique(c, col.swap(), target, scope)
     if clique is not None:
-        return StructureWitness("complement_clique", clique=clique)
+        return "complement_clique", clique
 
     raise StructureSearchFailure(
         f"no structure found in scope of {scope.bit_count()} vertices "

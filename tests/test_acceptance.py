@@ -15,9 +15,15 @@ from bruteforce import (
     brute_max_deficiency,
     brute_max_matching,
 )
-from fanram.bitset import mask_of
+from fanram.bitset import bits, mask_of
 from fanram.coloring import BLACK, WHITE, Coloring
-from fanram.covering import CoverRecord, check_cover_invariants, compute_cover, sc_violation
+from fanram.covering import (
+    CoverRecord,
+    build_sc,
+    check_cover_invariants,
+    compute_cover,
+    sc_violation,
+)
 from fanram.errors import ConstructionFailure, StructureSearchFailure, UnreachableBranch
 from fanram.extractor import extract_fan, min_order
 from fanram.matching import (
@@ -31,6 +37,7 @@ from fanram.oracle import (
     random_coloring,
 )
 from fanram.structures import (
+    FanCertificate,
     find_mono_fan,
     find_unavoidable_structure,
     split_fan_blade_target,
@@ -180,17 +187,17 @@ def test_criterion_7_unavoidable_structure_search():
         size = 3 * n - cc + 4
         c = random_coloring(size, seed, (0.15, 0.5, 0.85)[seed % 3])
         try:
-            w = find_unavoidable_structure(c, BLACK, c.vertex_mask, n, cc)
+            kind, w = find_unavoidable_structure(c, BLACK, c.vertex_mask, n, cc)
         except StructureSearchFailure:
             failures += 1
             continue
-        if w.kind == "matching":
-            assert w.matching.size >= n
-            assert all(c.pair_color(a, b) is BLACK for a, b in w.matching.edges)
-        elif w.kind == "complement_fan":
-            assert verify_fan(c, w.fan) and w.fan.color is WHITE
+        if kind == "matching":
+            assert w.size >= n
+            assert all(c.pair_color(a, b) is BLACK for a, b in w.edges)
+        elif kind == "complement_fan":
+            assert verify_fan(c, w) and w.color is WHITE
         else:
-            assert w.clique.size >= 2 * n - 2 * cc
+            assert w.size >= 2 * n - 2 * cc
         checked += 1
     _report(
         7,
@@ -258,33 +265,31 @@ def test_criterion_9_covering_invariants(corpus):
     sc_count = 0
     cover_count = 0
     for r in corpus["results"]:
-        for coloring, rec in r.get("records", []):
-            if isinstance(rec, CoverRecord):
-                cover_count += 1
-                if not check_cover_invariants(coloring, rec, r["n"]):
-                    violations += 1
-            else:
-                sc_count += 1
-                if sc_violation(coloring, rec, r["n"]) is not None:
-                    violations += 1
+        # each cover carries its chosen shadow records, and the cover
+        # check runs sc_violation on every one of them
+        for coloring, cover in r.get("records", []):
+            cover_count += 1
+            sc_count += cover.t
+            if not check_cover_invariants(coloring, cover, r["n"]):
+                violations += 1
     # engineered instances keep the check non-vacuous: the corpus at small
-    # n resolves inside the high-degree case without building covers
+    # n resolves inside the high-degree case without building covers; each
+    # gadget contributes its cover and the shadow record of every vertex
     extra_sc = 0
     extra_cover = 0
     for args, n in (((4, 3, 8, 11), 11), ((3, 3, 2, 6), 6), ((4, 2, 2, 5), 5)):
         c, A = cover_gadget(*args)
-        seen = []
-        out = compute_cover(c, A, n, sink=seen.append)
+        out = compute_cover(c, A, n)
         assert isinstance(out, CoverRecord)
-        for rec in seen:
-            if isinstance(rec, CoverRecord):
-                extra_cover += 1
-                if not check_cover_invariants(c, rec, n):
-                    violations += 1
-            else:
-                extra_sc += 1
-                if sc_violation(c, rec, n) is not None:
-                    violations += 1
+        extra_cover += 1
+        if not check_cover_invariants(c, out, n):
+            violations += 1
+        for v in bits(A.members):
+            rec = build_sc(c, A, v, n)
+            assert not isinstance(rec, FanCertificate)
+            extra_sc += 1
+            if sc_violation(c, rec, n) is not None:
+                violations += 1
     _report(
         9,
         violations == 0,

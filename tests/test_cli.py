@@ -1,5 +1,8 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import networkx as nx
 import pytest
@@ -316,3 +319,29 @@ def test_main_prints_json(capsys):
     doc = json.loads(out)
     assert code == 0
     assert doc["N"] == 4
+
+
+def _module_cli(args, cwd):
+    """Run `python -m fanram.cli` in a child process, the way the process
+    entry point and its sys.exit see it."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "fanram.cli", *args],
+        cwd=cwd,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    return proc.returncode, json.loads(proc.stdout)
+
+
+def test_module_entry_point_exit_codes(tmp_path):
+    code, doc = _module_cli(["lowerbound", "--n", "2", "--out", "F"], tmp_path)
+    assert code == 0
+    assert doc["fan_free"] is True
+    assert (tmp_path / "F").exists()
+    code, doc = _module_cli(["verify", "--in", "F", "--cert", "missing.json"], tmp_path)
+    assert code == 2
+    assert doc["error"] == "precondition"

@@ -136,10 +136,8 @@ def _shadow_records():
     yield c, build_sc(c, A, 0, 1), 1
     for args in ((4, 3, 8, 11), (3, 3, 2, 6), (4, 2, 2, 5)):
         c, A = cover_gadget(*args)
-        seen = []
-        compute_cover(c, A, args[3], sink=seen.append)
-        for rec in seen[:-1]:
-            yield c, rec, args[3]
+        for v in bits(A.members):
+            yield c, build_sc(c, A, v, args[3]), args[3]
     yield from _seeded_records()
 
 
@@ -227,10 +225,9 @@ def test_cover_violation_names_each_corruption():
     # already-covered check) and "forces t >= ..." (|C| <= 2n+1-|A| per
     # record and coverage give t >= |A| / (2n+1-|A|), which is that bound).
     c, A = cover_gadget(4, 3, 8, 11)
-    seen = []
-    rec = compute_cover(c, A, 11, sink=seen.append)
+    rec = compute_cover(c, A, 11)
     assert cover_violation(c, rec, 11) is None
-    by_v = {r.v: r for r in seen[:-1]}
+    by_v = {v: build_sc(c, A, v, 11) for v in bits(A.members)}
     seq = rec.sequence
     cases = [
         (replace(rec, A=CliqueWitness(BLACK, 0b111)), "|A|=3 outside (n, 2n+1)"),
@@ -266,11 +263,11 @@ def test_cover_violation_names_each_corruption():
     assert cover_violation(with_fan, rec, 11) == "fan available at 1; no cover should exist"
 
     c, A = _uneven_gadget((3, 3, 2), 2)
-    seen = []
-    rec = compute_cover(c, A, 5, sink=seen.append)
+    rec = compute_cover(c, A, 5)
     assert [v for v, _ in rec.sequence] == [0, 3, 6]
     assert cover_violation(c, rec, 5) is None
-    bad = replace(rec, sequence=((6, seen[6]),) + rec.sequence[1:])  # C = {6, 7}
+    r6 = build_sc(c, A, 6, 5)  # C = {6, 7}
+    bad = replace(rec, sequence=((6, r6),) + rec.sequence[1:])
     assert cover_violation(c, bad, 5) == "step 1 picked 6 but 0 covers more"
 
 
@@ -344,13 +341,20 @@ def test_compute_cover_deterministic():
     assert a == b
 
 
-def test_compute_cover_sink_collects_records():
-    c, A = cover_gadget(3, 3, 2, 6)
-    seen = []
-    out = compute_cover(c, A, 6, sink=seen.append)
-    assert isinstance(out, CoverRecord)
-    assert sum(isinstance(r, CoverRecord) for r in seen) == 1
-    assert sum(not isinstance(r, CoverRecord) for r in seen) == A.size
+def test_compute_cover_rejects_a_non_clique_witness():
+    c, A = cover_gadget(4, 3, 8, 11)
+    adj = list(c._black)
+    adj[0] &= ~(1 << 1)
+    adj[1] &= ~(1 << 0)
+    broken = Coloring(c.N, tuple(adj))  # pair (0,1) made white
+    # a bad witness is the caller's error, not a bug-class InternalError
+    # from build_sc or a fan in the unclaimed color; the message is the one
+    # the cover command prints
+    message = r"^not a {0} clique: pair \(0,1\) is not {0}$"
+    with pytest.raises(PreconditionViolated, match=message.format("black")):
+        compute_cover(broken, A, 11)
+    with pytest.raises(PreconditionViolated, match=message.format("white")):
+        compute_cover(c, CliqueWitness(WHITE, A.members), 11)
 
 
 def test_cover_invariants_reject_mutations():

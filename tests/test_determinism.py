@@ -31,7 +31,7 @@ from test_structures import _split_instance
 
 FORMAT_SHA256 = "7701bece23740d57d80752740637002c304adac95614410cec2c2ab8fb184cfc"
 FROZEN_SHA256 = "6ced70dd99734f7b0ccf53ac67fd0ec8a521d96d9c386118973232fb50bd3d44"
-FAN_SHA256 = "f583d6fe43b5583e9cfa059c32759bbac4754056dc87cdc96ec1c572297b233f"
+FAN_SHA256 = "f5c7b1527421dc8e5fcc817b36db5b41959d21f2ac387dd4434cb8327fb75bfc"
 
 
 def _trial_colorings():

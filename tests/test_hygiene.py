@@ -1,8 +1,11 @@
-"""Source hygiene: every import in fanram is used and sits at module level.
+"""Source hygiene: every import in fanram is used and sits at module level,
+and only the extractor writes the extraction trace.
 
 An import that outlives the code using it, or one tucked inside a
 function, is easy to miss after code moves between modules; this test
-parses each module with ast and names every such import.
+parses each module with ast and names every such import.  The same parse
+keeps the layering: lower modules return witnesses and never take a trace
+or a record sink, and only the extractor raises UnreachableBranch.
 """
 
 import ast
@@ -59,3 +62,38 @@ def test_imports_are_at_module_level(path):
         if isinstance(node, (ast.Import, ast.ImportFrom)) and id(node) not in top
     ]
     assert nested == []
+
+
+TRACE_WRITERS = {"extractor.py"}
+UNREACHABLE_IMPORTERS = {"extractor.py", "cli.py", "__init__.py"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_the_extractor_takes_a_trace(path):
+    if path.name in TRACE_WRITERS:
+        return
+    funcs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+    found = []
+    for node in ast.walk(_tree(path)):
+        if isinstance(node, funcs):
+            a = node.args
+            params = a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg]
+            found += [
+                f"{path.name}:{node.lineno} {p.arg}"
+                for p in params
+                if p is not None and p.arg in ("trace", "sink")
+            ]
+    assert found == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_the_extractor_and_cli_import_unreachable_branch(path):
+    if path.name in UNREACHABLE_IMPORTERS:
+        return
+    found = [
+        f"{path.name}:{node.lineno}"
+        for node in ast.walk(_tree(path))
+        if isinstance(node, ast.ImportFrom)
+        and any(alias.name == "UnreachableBranch" for alias in node.names)
+    ]
+    assert found == []

@@ -238,17 +238,18 @@ def test_match_into_orders_blades_and_keeps_parts_apart():
 
 def test_structure_search_all_black():
     scope = (1 << 14) - 1
-    w = find_unavoidable_structure(Coloring.complete(14, BLACK), BLACK, scope, 4, 2)
-    assert w.kind == "matching"
-    assert w.matching.size == 4
+    c = Coloring.complete(14, BLACK)
+    kind, m = find_unavoidable_structure(c, BLACK, scope, 4, 2)
+    assert kind == "matching"
+    assert m.size == 4
 
 
 def test_structure_search_all_white():
     c = Coloring.complete(14, WHITE)
-    w = find_unavoidable_structure(c, BLACK, (1 << 14) - 1, 4, 2)
-    assert w.kind == "complement_fan"
-    assert verify_fan(c, w.fan)
-    assert w.fan.color is WHITE
+    kind, fan = find_unavoidable_structure(c, BLACK, (1 << 14) - 1, 4, 2)
+    assert kind == "complement_fan"
+    assert verify_fan(c, fan)
+    assert fan.color is WHITE
 
 
 def test_structure_search_preconditions():
@@ -261,21 +262,21 @@ def test_structure_search_preconditions():
         find_unavoidable_structure(c, BLACK, (1 << 14) - 1, 4, 3)
 
 
-def _verified_structure(c, w, n, cc):
-    if w.kind == "matching":
-        assert w.matching.size >= n
-        for a, b in w.matching.edges:
+def _verified_structure(c, kind, w, n, cc):
+    if kind == "matching":
+        assert w.size >= n
+        for a, b in w.edges:
             assert c.pair_color(a, b) is BLACK
-        verts = [v for e in w.matching.edges for v in e]
+        verts = [v for e in w.edges for v in e]
         assert len(set(verts)) == len(verts)
-    elif w.kind == "complement_fan":
-        assert w.fan.color is WHITE
-        assert verify_fan(c, w.fan)
+    elif kind == "complement_fan":
+        assert w.color is WHITE
+        assert verify_fan(c, w)
     else:
-        assert w.clique.size >= 2 * n - 2 * cc
-        col = BLACK if w.kind == "clique" else WHITE
-        assert w.clique.color is col
-        verts = bit_list(w.clique.members)
+        assert w.size >= 2 * n - 2 * cc
+        col = BLACK if kind == "clique" else WHITE
+        assert w.color is col
+        verts = bit_list(w.members)
         for i, u in enumerate(verts):
             for v in verts[i + 1 :]:
                 assert c.pair_color(u, v) is col
@@ -287,8 +288,8 @@ def test_structure_search_randomized():
         cc = 1 + seed % max(1, (5 * n) // 8 - 1)
         size = 3 * n - cc + 4
         c = random_coloring(size, seed, (0.15, 0.5, 0.85)[seed % 3])
-        w = find_unavoidable_structure(c, BLACK, c.vertex_mask, n, cc)
-        _verified_structure(c, w, n, cc)
+        kind, w = find_unavoidable_structure(c, BLACK, c.vertex_mask, n, cc)
+        _verified_structure(c, kind, w, n, cc)
 
 
 def test_split_fan_blade_target_values():
