@@ -308,7 +308,15 @@ _COMMANDS = {
 
 def main(argv: list[str] | None = None) -> int:
     result = run(sys.argv[1:] if argv is None else argv)
-    print(json.dumps(result.payload, indent=2, sort_keys=True))
+    try:
+        print(json.dumps(result.payload, indent=2, sort_keys=True))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed early; with stdout on devnull the interpreter's
+        # exit flush cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     if result.diagnostics:
         print(result.diagnostics, file=sys.stderr)
     return result.exit_code

@@ -5,6 +5,13 @@ Exhaustive enumeration walks colorings by their pair-bit encodings in
 ascending order (bit k of the counter is pair k of the canonical order),
 so runs are deterministic and the index space can be partitioned across
 workers with the start/stop arguments.
+
+The exhaustive fan check does not walk every coloring.  Fan-freeness is
+hereditary, so it grows the fan-free colorings of K_N from those of K_1
+one vertex at a time, searching only the fans through the new vertex.
+The new vertex takes the lowest pair bits, so each level comes out in
+ascending pair-bit order and the check reports the same examples, in the
+same order, as a walk over every coloring would.
 """
 
 from __future__ import annotations
@@ -69,24 +76,70 @@ def enumerate_colorings(
 def exhaustive_ramsey_check(N: int, n: int) -> EnumerationReport:
     """Do all colorings of K_N contain a monochromatic fan with n blades?
 
-    Exhaustive over every coloring; collects up to FAN_FREE_EXAMPLE_CAP
-    fan-free colorings when the answer is no.
+    Exhaustive for N <= MAX_EXHAUSTIVE_N and n <= 2: grows the fan-free
+    colorings of K_1, K_2, ..., K_N one vertex at a time (see _grow).
+    Every other coloring of K_N contains a fan, because a fan appeared
+    in its restriction to the last m vertices for some m.  total counts
+    the colorings decided, 2^(N(N-1)/2), not the candidates tested.  The
+    fan-free colorings come out in ascending pair-bit order, as a walk
+    over every coloring would meet them, so the first
+    FAN_FREE_EXAMPLE_CAP of them are the examples.
     """
     if n > 2:
         raise PreconditionViolated(f"exhaustive check capped at n=2, got n={n}")
     if n < 1:
         raise PreconditionViolated(f"fan parameter must be >= 1, got {n}")
-    report = EnumerationReport(N=N, n=n, total=0, all_contain=True)
+    if N > MAX_EXHAUSTIVE_N:
+        raise PreconditionViolated(
+            f"exhaustive enumeration capped at N={MAX_EXHAUSTIVE_N}, got {N}"
+        )
+    if N < 1:
+        raise PreconditionViolated(f"need at least one vertex, got N={N}")
+    level = [0]
+    for m in range(2, N + 1):
+        level = _grow(level, m, n)
+    return EnumerationReport(
+        N=N,
+        n=n,
+        total=1 << N * (N - 1) // 2,
+        all_contain=not level,
+        fan_free_examples=[
+            Coloring.from_pair_bits(N, h) for h in level[:FAN_FREE_EXAMPLE_CAP]
+        ],
+    )
 
-    def visit(c: Coloring) -> None:
-        report.total += 1
-        if find_mono_fan(c, BLACK, n) is None and find_mono_fan(c, WHITE, n) is None:
-            report.all_contain = False
-            if len(report.fan_free_examples) < FAN_FREE_EXAMPLE_CAP:
-                report.fan_free_examples.append(c)
 
-    enumerate_colorings(N, visit)
-    return report
+def _grow(level: list[int], m: int, n: int) -> list[int]:
+    """Pair bits of the fan-free colorings of K_m, ascending, from those
+    of K_{m-1} (level, ascending).
+
+    A fan-free coloring of K_m restricts to a fan-free coloring on
+    vertices 1..m-1, so it is some h in level, renumbered up by one, plus
+    a new vertex 0 whose pairs (0, v) are the bits r: the candidate
+    h << (m-1) | r, since those pairs are the lowest m-1 bits of the
+    canonical order.  Ascending h, then r, gives ascending candidates.
+    As h is fan-free, a fan in the candidate passes through vertex 0: it
+    is centred at 0 or at a neighbour of 0 in the fan's color, and only
+    those centers are searched.
+    """
+    width = m - 1
+    full = (1 << m) - 1
+    out = []
+    for h in level:
+        sub = Coloring.from_pair_bits(width, h)
+        shifted = [sub.neighborhood(v, BLACK) << 1 for v in range(width)]
+        base = h << width
+        for r in range(1 << width):
+            black0 = r << 1
+            c = Coloring._raw(
+                m, (black0, *[row | r >> v & 1 for v, row in enumerate(shifted)])
+            )
+            if (
+                find_mono_fan(c, BLACK, n, centers=1 | black0) is None
+                and find_mono_fan(c, WHITE, n, centers=full ^ black0) is None
+            ):
+                out.append(base | r)
+    return out
 
 
 def bipartite_lower_bound(n: int) -> Coloring:

@@ -211,21 +211,30 @@ class _FanBuilder:
 
 
 def find_mono_fan(
-    c: Coloring, col: Color, n: int, scope: int | None = None
+    c: Coloring,
+    col: Color,
+    n: int,
+    scope: int | None = None,
+    *,
+    centers: int | None = None,
 ) -> FanCertificate | None:
     """Exact fan detection.
 
     A fan with n blades centered at v exists inside scope exactly when the
     color-induced graph on v's in-scope neighborhood has a matching of n
     edges, so the test scans centers in ascending order and computes
-    matchings with an early stop.  Returns a verified certificate for the
-    lowest viable center, or None when no fan exists.
+    matchings with an early stop.  Only the in-scope vertices of centers
+    (default: all of scope) are tried as the center.  Returns a verified
+    certificate for the lowest viable center, or None when no such fan
+    exists.
     """
     if n < 1:
         raise PreconditionViolated(f"fan parameter must be >= 1, got {n}")
     if scope is None:
         scope = c.vertex_mask
-    for v in bits(scope):
+    if centers is None:
+        centers = scope
+    for v in bits(centers & scope):
         nb = c.neighborhood(v, col) & scope
         if nb.bit_count() < 2 * n:
             continue

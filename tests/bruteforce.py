@@ -55,10 +55,14 @@ def brute_max_deficiency(c: Coloring, col, X: int, Y: int) -> int:
     return best
 
 
-def brute_fan_exists(c: Coloring, col, n: int, scope: int | None = None) -> bool:
+def brute_fan_exists(
+    c: Coloring, col, n: int, scope: int | None = None, *, centers: int | None = None
+) -> bool:
     if scope is None:
         scope = c.vertex_mask
-    for v in bits(scope):
+    if centers is None:
+        centers = scope
+    for v in bits(scope & centers):
         nb = c.neighborhood(v, col) & scope
         if nb.bit_count() >= 2 * n and brute_max_matching(c, col, nb) >= n:
             return True

@@ -33,6 +33,13 @@ def test_oracle_ramsey_five_negative_is_still_report():
     assert len(res.payload["fan_free_examples"]) > 0
 
 
+@pytest.mark.parametrize("N, n", [("8", "2"), ("1000000000", "1"), ("0", "1")])
+def test_oracle_ramsey_out_of_caps_is_usage_error(N, n):
+    res = run(["oracle", "ramsey", "--N", N, "--n", n])
+    assert res.exit_code == 2
+    assert res.payload["error"] == "precondition"
+
+
 def test_lowerbound_writes_and_verifies(tmp_path):
     out = str(tmp_path / "lb.2col")
     res = run(["lowerbound", "--n", "2", "--out", out])
@@ -345,3 +352,18 @@ def test_module_entry_point_exit_codes(tmp_path):
     code, doc = _module_cli(["verify", "--in", "F", "--cert", "missing.json"], tmp_path)
     assert code == 2
     assert doc["error"] == "precondition"
+
+
+def test_closed_stdout_pipe_exits_quietly():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "fanram.cli", "oracle", "ramsey", "--N", "6", "--n", "1"],
+        env=dict(os.environ, PYTHONPATH=src),
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    # the reader goes away before the child has written anything
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 0
+    assert err == b""

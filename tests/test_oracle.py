@@ -1,10 +1,16 @@
 import time
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from bruteforce import brute_fan_exists
 from fanram.coloring import BLACK, WHITE, Coloring
 from fanram.errors import PreconditionViolated
 from fanram.oracle import (
+    FAN_FREE_EXAMPLE_CAP,
+    EnumerationReport,
+    _grow,
     adversarial_coloring,
     bipartite_lower_bound,
     enumerate_colorings,
@@ -12,7 +18,8 @@ from fanram.oracle import (
     random_coloring,
 )
 from fanram.rng import SplitMix64
-from fanram.structures import find_mono_fan
+from fanram.structures import find_mono_fan, verify_fan
+from test_coloring import colorings
 
 
 def test_enumeration_counts():
@@ -58,8 +65,69 @@ def test_ramsey_four_vertices_fail():
 
 
 def test_ramsey_check_caps():
-    with pytest.raises(PreconditionViolated):
-        exhaustive_ramsey_check(5, 3)
+    for N, n in ((5, 3), (5, 0), (8, 2), (10**9, 1), (0, 1), (-3, 1)):
+        with pytest.raises(PreconditionViolated):
+            exhaustive_ramsey_check(N, n)
+
+
+def _grown_levels(N, n):
+    """Pair bits of the fan-free colorings of K_1, ..., K_N."""
+    levels = [[0]]
+    for m in range(2, N + 1):
+        levels.append(_grow(levels[-1], m, n))
+    return levels
+
+
+# fan-free colorings of K_1, ..., K_6, counted per level of the growth
+@pytest.mark.parametrize(
+    "n, counts", [(1, [1, 2, 6, 18, 12, 0]), (2, [1, 2, 8, 64, 762, 8480])]
+)
+def test_grown_level_counts_are_frozen(n, counts):
+    assert [len(level) for level in _grown_levels(6, n)] == counts
+
+
+def _brute_force(N, n):
+    """Every coloring of K_N, two full fan searches each: the fan-free
+    ones' pair bits and the report the walk gives."""
+    fan_free = []
+    report = EnumerationReport(N=N, n=n, total=0, all_contain=True)
+
+    def visit(c):
+        report.total += 1
+        if find_mono_fan(c, BLACK, n) is None and find_mono_fan(c, WHITE, n) is None:
+            fan_free.append(c.pair_bits())
+            report.all_contain = False
+            if len(report.fan_free_examples) < FAN_FREE_EXAMPLE_CAP:
+                report.fan_free_examples.append(c)
+
+    enumerate_colorings(N, visit)
+    return fan_free, report
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("N", range(1, 7))
+def test_grown_report_matches_brute_force(N, n):
+    fan_free, brute = _brute_force(N, n)
+    assert _grown_levels(N, n)[-1] == fan_free
+    grown = exhaustive_ramsey_check(N, n)
+    assert grown.to_json_dict() == brute.to_json_dict()
+
+
+@st.composite
+def colorings_with_centers(draw):
+    c = draw(colorings(min_n=2, max_n=9))
+    return c, draw(st.integers(0, c.vertex_mask))
+
+
+@given(colorings_with_centers(), st.integers(1, 3))
+def test_find_mono_fan_restricted_centers_matches_bruteforce(cc, n):
+    c, centers = cc
+    for col in (BLACK, WHITE):
+        cert = find_mono_fan(c, col, n, centers=centers)
+        assert (cert is not None) == brute_fan_exists(c, col, n, centers=centers)
+        if cert is not None:
+            assert centers >> cert.center & 1
+            assert verify_fan(c, cert)
 
 
 def test_report_json():
