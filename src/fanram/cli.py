@@ -5,6 +5,8 @@ Every command prints one JSON document on stdout and human-readable
 diagnostics on stderr.  Exit codes: 0 success, 1 negative verification or
 extraction result, 2 usage or precondition error, 3 an unreachable branch
 fired (bug class).  FANRAM_WORKERS caps the trial worker processes.
+trials and lowerbound refuse to generate a coloring of more than
+MAX_GENERATED_N vertices.
 """
 
 from __future__ import annotations
@@ -46,6 +48,10 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 EXIT_UNREACHABLE = 3
+
+# about 2.5x N = 1668, the largest order timed so far; a larger coloring
+# would take hours to generate or search, so it is refused up front
+MAX_GENERATED_N = 4096
 
 
 @dataclass
@@ -163,7 +169,15 @@ def _cmd_oracle(args) -> CommandResult:
     return CommandResult(EXIT_OK, report.to_json_dict())
 
 
+def _check_generated_order(N: int) -> None:
+    if N > MAX_GENERATED_N:
+        raise PreconditionViolated(
+            f"coloring order N={N} above the cap N={MAX_GENERATED_N}"
+        )
+
+
 def _cmd_lowerbound(args) -> CommandResult:
+    _check_generated_order(4 * args.n)
     coloring = bipartite_lower_bound(args.n)
     fan_free = (
         find_mono_fan(coloring, BLACK, args.n) is None
@@ -250,6 +264,7 @@ def _cmd_trials(args) -> CommandResult:
         raise PreconditionViolated("count must be positive")
     if args.n < 1:
         raise PreconditionViolated(f"fan parameter must be >= 1, got {args.n}")
+    _check_generated_order(min_order(args.n))
     chosen = [f for f in _TRIAL_FAMILIES if args.family in (None, f[0])]
     tasks = [
         (*chosen[i % len(chosen)], args.n, args.seed + i) for i in range(args.count)

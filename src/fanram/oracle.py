@@ -3,8 +3,7 @@ lower-bound constructions, and seeded generators.
 
 Exhaustive enumeration walks colorings by their pair-bit encodings in
 ascending order (bit k of the counter is pair k of the canonical order),
-so runs are deterministic and the index space can be partitioned across
-workers with the start/stop arguments.
+so runs are deterministic.
 
 The exhaustive fan check does not walk every coloring.  Fan-freeness is
 hereditary, so it grows the fan-free colorings of K_N from those of K_1
@@ -49,28 +48,19 @@ class EnumerationReport:
         }
 
 
-def enumerate_colorings(
-    N: int, visitor, *, start: int = 0, stop: int | None = None
-) -> EnumerationReport:
-    """Invoke visitor(coloring) once per coloring of K_N.
-
-    Order is ascending pair-bit encoding.  start/stop bound the encoding
-    range so callers can split the space across workers; the default
-    covers everything.
-    """
+def enumerate_colorings(N: int, visitor) -> EnumerationReport:
+    """Invoke visitor(coloring) once per coloring of K_N, in ascending
+    pair-bit order."""
     if N > MAX_EXHAUSTIVE_N:
         raise PreconditionViolated(
             f"exhaustive enumeration capped at N={MAX_EXHAUSTIVE_N}, got {N}"
         )
     if N < 1:
         raise PreconditionViolated(f"need at least one vertex, got N={N}")
-    limit = 1 << (N * (N - 1) // 2)
-    stop = limit if stop is None else min(stop, limit)
-    count = 0
-    for bits_value in range(start, stop):
+    total = 1 << N * (N - 1) // 2
+    for bits_value in range(total):
         visitor(Coloring.from_pair_bits(N, bits_value))
-        count += 1
-    return EnumerationReport(N=N, n=None, total=count, all_contain=False)
+    return EnumerationReport(N=N, n=None, total=total, all_contain=False)
 
 
 def exhaustive_ramsey_check(N: int, n: int) -> EnumerationReport:
@@ -142,6 +132,13 @@ def _grow(level: list[int], m: int, n: int) -> list[int]:
     return out
 
 
+def _cross_rows(N: int, k: int) -> tuple[int, ...]:
+    """Rows of the complete bipartite graph between [0, k) and [k, N)."""
+    low = (1 << k) - 1
+    high = (1 << N) - 1 ^ low
+    return (high,) * k + (low,) * (N - k)
+
+
 def bipartite_lower_bound(n: int) -> Coloring:
     """The 4n-vertex coloring with no monochromatic fan of n blades:
     black across the two halves, white inside them.
@@ -152,80 +149,75 @@ def bipartite_lower_bound(n: int) -> Coloring:
     """
     if n < 1:
         raise PreconditionViolated(f"fan parameter must be >= 1, got {n}")
-    N = 4 * n
-    half = (1 << 2 * n) - 1
-    return Coloring._raw(N, (half << 2 * n,) * (2 * n) + (half,) * (2 * n))
+    return Coloring._raw(4 * n, _cross_rows(4 * n, 2 * n))
+
+
+def _draws(N: int, seed: int, p: float) -> int:
+    """Pair bits of one SplitMix64 draw per pair in canonical order: bit k
+    is set iff draw k's next_float() is below p."""
+    next_float = SplitMix64(seed).next_float
+    digits = ["1" if next_float() < p else "0" for _ in range(N * (N - 1) // 2)]
+    digits.reverse()
+    return int("0" + "".join(digits), 2)
 
 
 def random_coloring(N: int, seed: int, p_black: float) -> Coloring:
     """Independent pair colors, black with probability p_black.
 
-    One SplitMix64 draw per pair in canonical order; fully determined by
+    The black pairs are the pair bits of _draws: one SplitMix64 draw per
+    pair in canonical order, so the coloring is fully determined by
     (N, seed, p_black).
     """
     if not 0.0 <= p_black <= 1.0:
         raise PreconditionViolated(f"p_black={p_black} outside [0, 1]")
     if N < 1:
         raise PreconditionViolated(f"need at least one vertex, got N={N}")
-    rng = SplitMix64(seed)
-    rows = [0] * N
-    for u in range(N):
-        for v in range(u + 1, N):
-            if rng.next_float() < p_black:
-                rows[u] |= 1 << v
-    return Coloring._from_triangle(N, rows)
+    return Coloring.from_pair_bits(N, _draws(N, seed, p_black))
 
 
-ADVERSARIAL_KINDS = ("bipartite_blowup", "pentagon_blowup", "clique_plus_noise")
-
-_BIPARTITE_FLIP = 0.05
-_PENTAGON_INSIDE = 0.10
-_CLIQUE_NOISE = 0.50
+# each adversarial kind and the probability its draws are taken at
+_DRAW_P = {
+    "bipartite_blowup": 0.05,
+    "pentagon_blowup": 0.10,
+    "clique_plus_noise": 0.50,
+}
+ADVERSARIAL_KINDS = tuple(_DRAW_P)
 
 
 def adversarial_coloring(kind: str, N: int, seed: int) -> Coloring:
     """Structured stress colorings with seeded perturbation.
 
-    bipartite_blowup: black across two near-equal halves, every pair then
-    flipped with probability 0.05.  pentagon_blowup: five near-equal
-    parts, black exactly between cyclically adjacent parts, pairs inside
-    a part black with probability 0.10.  clique_plus_noise: pairs inside
-    the first ceil(7N/12) vertices always black, the rest fair coin.  One
-    draw per pair in canonical order regardless of whether the pair is
-    forced, so structure never shifts the stream.
+    Each kind is its structure rows combined with the rows of _draws at
+    the kind's probability.  bipartite_blowup: black across two
+    near-equal halves (the first ceil(N/2) vertices and the rest), XOR
+    draws(0.05), so every pair flips with probability 0.05.
+    pentagon_blowup: five near-equal consecutive parts, black exactly
+    between cyclically adjacent parts, OR draws(0.10) inside a part.
+    clique_plus_noise: the first ceil(7N/12) vertices form a black clique,
+    OR draws(0.5).  Every pair takes one draw in canonical order whether
+    or not the structure forces it, so structure never shifts the stream.
     """
     if N < 5:
         raise PreconditionViolated(f"adversarial colorings need N >= 5, got {N}")
-    if kind not in ADVERSARIAL_KINDS:
+    if kind not in _DRAW_P:
         raise PreconditionViolated(f"unknown adversarial kind {kind!r}")
-    rng = SplitMix64(seed)
-    rows = [0] * N
+    draws = Coloring.from_pair_bits(N, _draws(N, seed, _DRAW_P[kind]))._black
 
     if kind == "bipartite_blowup":
-        half = (N + 1) // 2
-
-        def black(u, v, roll):
-            return ((u < half) != (v < half)) != (roll < _BIPARTITE_FLIP)
-
+        rows = [c ^ d for c, d in zip(_cross_rows(N, (N + 1) // 2), draws)]
     elif kind == "pentagon_blowup":
         size, extra = divmod(N, 5)
         part = [i for i in range(5) for _ in range(size + (i < extra))]
-
-        def black(u, v, roll):
-            pu, pv = part[u], part[v]
-            if pu == pv:
-                return roll < _PENTAGON_INSIDE
-            return (pu - pv) % 5 in (1, 4)
-
+        own = [0] * 5
+        for v, i in enumerate(part):
+            own[i] |= 1 << v
+        rows = [
+            own[i - 1] | own[(i + 1) % 5] | own[i] & d for i, d in zip(part, draws)
+        ]
     else:
         planted = -(-7 * N // 12)
-
-        def black(u, v, roll):
-            return (u < planted and v < planted) or roll < _CLIQUE_NOISE
-
-    for u in range(N):
-        for v in range(u + 1, N):
-            roll = rng.next_float()
-            if black(u, v, roll):
-                rows[u] |= 1 << v
-    return Coloring._from_triangle(N, rows)
+        clique = (1 << planted) - 1
+        rows = [
+            (clique ^ 1 << v if v < planted else 0) | d for v, d in enumerate(draws)
+        ]
+    return Coloring._raw(N, tuple(rows))

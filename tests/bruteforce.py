@@ -2,7 +2,8 @@
 
 Nothing here shares code with the package's search algorithms: matchings
 are found by exhaustive recursion over vertex masks, deficiencies by
-subset dynamic programming, fans and cliques by direct enumeration.
+subset dynamic programming, fans and cliques by direct enumeration, and
+seeded colorings by deciding one pair per SplitMix64 draw.
 """
 
 from __future__ import annotations
@@ -11,7 +12,8 @@ from functools import lru_cache
 from itertools import combinations
 
 from fanram.bitset import bit_list, bits, lowest
-from fanram.coloring import Coloring
+from fanram.coloring import BLACK, WHITE, Coloring
+from fanram.rng import SplitMix64
 
 
 def brute_max_matching(c: Coloring, col, scope: int) -> int:
@@ -104,3 +106,51 @@ def brute_clique_exists(c: Coloring, col, size: int, scope: int) -> bool:
         ):
             return True
     return False
+
+
+def _per_pair(N: int, seed: int, black) -> Coloring:
+    """Pair (u, v) is black iff black(u, v, roll), where roll is the next
+    draw, one per pair in canonical order."""
+    rng = SplitMix64(seed)
+    return Coloring.from_pair_list(
+        N,
+        [
+            (u, v, BLACK if black(u, v, rng.next_float()) else WHITE)
+            for u in range(N)
+            for v in range(u + 1, N)
+        ],
+    )
+
+
+def brute_random_coloring(N: int, seed: int, p: float) -> Coloring:
+    return _per_pair(N, seed, lambda u, v, roll: roll < p)
+
+
+def brute_adversarial_coloring(kind: str, N: int, seed: int) -> Coloring:
+    if kind == "bipartite_blowup":
+        # black across the first ceil(N/2) vertices and the rest, each pair
+        # flipped with probability 0.05
+        half = (N + 1) // 2
+        return _per_pair(
+            N, seed, lambda u, v, roll: ((u < half) != (v < half)) != (roll < 0.05)
+        )
+    if kind == "pentagon_blowup":
+        # five consecutive parts, the first N mod 5 one vertex larger; black
+        # between cyclically adjacent parts, with probability 0.10 inside one
+        size, extra = divmod(N, 5)
+        part = [i for i in range(5) for _ in range(size + (i < extra))]
+        return _per_pair(
+            N,
+            seed,
+            lambda u, v, roll: (
+                roll < 0.10
+                if part[u] == part[v]
+                else (part[u] - part[v]) % 5 in (1, 4)
+            ),
+        )
+    assert kind == "clique_plus_noise"
+    # a black clique on the first ceil(7N/12) vertices, the rest a fair coin
+    planted = -(-7 * N // 12)
+    return _per_pair(
+        N, seed, lambda u, v, roll: u < planted and v < planted or roll < 0.5
+    )

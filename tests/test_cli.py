@@ -59,7 +59,8 @@ def test_extract_and_verify_roundtrip(k46, tmp_path):
     assert ver.exit_code == 0
     assert ver.payload["valid"] is True
 
-    trace = json.loads(open(trace_path).read())
+    with open(trace_path) as fh:
+        trace = json.load(fh)
     assert trace["certificate"] == res.payload
     assert trace["steps"]
 
@@ -241,6 +242,44 @@ def test_trials_rejects_nonpositive_n(monkeypatch):
         res = run(["trials", "--n", n, "--count", "2"])
         assert res.exit_code == 2
         assert res.payload["message"] == f"fan parameter must be >= 1, got {n}"
+
+
+@pytest.mark.parametrize(
+    "argv, N",
+    [
+        (["trials", "--n", "1000000", "--count", "1"], 5166681),
+        (["trials", "--n", "791", "--count", "1"], 4101),
+        (["lowerbound", "--n", "1000000"], 4000000),
+        (["lowerbound", "--n", "1025"], 4100),
+    ],
+)
+def test_oversized_order_is_refused_before_generation(argv, N, monkeypatch):
+    import fanram.cli as cli
+
+    def no_generation(*args):
+        raise AssertionError("a coloring was generated")
+
+    monkeypatch.setenv("FANRAM_WORKERS", "1")
+    monkeypatch.setattr(cli, "trial_coloring", no_generation)
+    monkeypatch.setattr(cli, "bipartite_lower_bound", no_generation)
+    res = run(argv)
+    assert res.exit_code == 2
+    assert res.payload == {
+        "error": "precondition",
+        "message": f"coloring order N={N} above the cap N={cli.MAX_GENERATED_N}",
+    }
+
+
+def test_generated_order_cap_is_inclusive(monkeypatch):
+    import fanram.cli as cli
+
+    monkeypatch.setenv("FANRAM_WORKERS", "1")
+    monkeypatch.setattr(cli, "MAX_GENERATED_N", 30)  # min_order(3)
+    assert run(["trials", "--n", "3", "--count", "1"]).exit_code == 0
+    assert run(["trials", "--n", "4", "--count", "1"]).exit_code == 2
+    monkeypatch.setattr(cli, "MAX_GENERATED_N", 8)
+    assert run(["lowerbound", "--n", "2"]).exit_code == 0
+    assert run(["lowerbound", "--n", "3"]).exit_code == 2
 
 
 def test_trials_single_family(monkeypatch):

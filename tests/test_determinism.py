@@ -22,7 +22,7 @@ from fanram.covering import compute_cover
 from fanram.errors import FanRamseyError, UnreachableBranch
 from fanram.extractor import ExtractionTrace, _clique_pipeline, extract_fan, min_order
 from fanram.io import parse_graph6, write_2col
-from fanram.oracle import enumerate_colorings, random_coloring
+from fanram.oracle import random_coloring
 from fanram.structures import CliqueWitness, fan_from_clique, split_graph_fan
 from gadgets import circulant, cover_gadget
 from test_extractor import _blocker_then_residue
@@ -70,7 +70,7 @@ def _format_bytes() -> str:
         out.append(write_2col(c))
         text = nx.to_graph6_bytes(_black_graph(c), header=False).decode().strip()
         out.append(f"{parse_graph6(text).pair_bits():x}\n")
-    enumerate_colorings(6, lambda c: out.append(f"{c.pair_bits():x}\n"), stop=2000)
+    out.extend(f"{Coloring.from_pair_bits(6, k).pair_bits():x}\n" for k in range(2000))
     return "".join(out)
 
 

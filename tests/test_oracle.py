@@ -4,7 +4,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bruteforce import brute_fan_exists
+from bruteforce import (
+    brute_adversarial_coloring,
+    brute_fan_exists,
+    brute_random_coloring,
+)
+from fanram.cli import _TRIAL_FAMILIES, trial_coloring
 from fanram.coloring import BLACK, WHITE, Coloring
 from fanram.errors import PreconditionViolated
 from fanram.oracle import (
@@ -30,13 +35,10 @@ def test_enumeration_counts():
         assert len(seen) == expect
 
 
-def test_enumeration_order_and_partition():
-    first = []
-    enumerate_colorings(3, first.append, stop=4)
-    assert [c.pair_bits() for c in first] == [0, 1, 2, 3]
-    rest = []
-    enumerate_colorings(3, rest.append, start=4)
-    assert len(rest) == 4
+def test_enumeration_order():
+    seen = []
+    enumerate_colorings(3, seen.append)
+    assert [c.pair_bits() for c in seen] == list(range(8))
 
 
 def test_enumeration_rejects_large_n():
@@ -156,9 +158,28 @@ def test_random_coloring_determinism():
     a = random_coloring(5, 42, 0.5)
     b = random_coloring(5, 42, 0.5)
     assert a == b
-    assert random_coloring(5, 43, 0.5) != a or True  # different seed may differ
+    assert random_coloring(5, 43, 0.5) != a
     assert random_coloring(5, 42, 1.0) == Coloring.complete(5, BLACK)
     assert random_coloring(5, 42, 0.0) == Coloring.complete(5, WHITE)
+
+
+@pytest.mark.parametrize("N", range(5, 41))
+def test_trial_families_match_per_pair_definitions(N):
+    for family, p in _TRIAL_FAMILIES:
+        for seed in (0, 1, 2**63 + 12345, 2**64 - 1):
+            expect = (
+                brute_random_coloring(N, seed, p)
+                if family == "random"
+                else brute_adversarial_coloring(family, N, seed)
+            )
+            assert trial_coloring(family, p, N, 1, seed) == expect
+
+
+def test_random_coloring_tiny_and_extreme_p_match_definition():
+    for N in (1, 2):
+        for p in (0.0, 0.5, 1.0):
+            for seed in (0, 7, 2**64 - 1):
+                assert random_coloring(N, seed, p) == brute_random_coloring(N, seed, p)
 
 
 def test_random_coloring_bounds():
