@@ -250,13 +250,15 @@ def _run_trial(task: tuple) -> dict:
 
 
 def _worker_count() -> int:
+    """FANRAM_WORKERS clamped to [1, cores]: the pool forks all workers at once."""
+    cores = os.cpu_count() or 1
     env = os.environ.get("FANRAM_WORKERS")
     if env:
         try:
-            return max(1, int(env))
+            return min(max(1, int(env)), cores)
         except ValueError:
             raise PreconditionViolated(f"bad FANRAM_WORKERS {env!r}") from None
-    return os.cpu_count() or 1
+    return cores
 
 
 def _cmd_trials(args) -> CommandResult:

@@ -29,11 +29,7 @@ from .bitset import bit_list, lowest, mask_of
 from .coloring import BLACK, WHITE, Coloring, context_of
 from .covering import CoverRecord, compute_cover
 from .errors import InternalError, PreconditionViolated, UnreachableBranch
-from .matching import (
-    greedy_bipartite_matching,
-    max_deficiency_certificate,
-    maximum_matching_general,
-)
+from .matching import greedy_bipartite_matching, max_deficiency_certificate
 from .structures import (
     CliqueWitness,
     FanCertificate,
@@ -197,10 +193,10 @@ def _high_d(cw: Coloring, n: int, d: int, w: int, trace: ExtractionTrace):
     if d > 3 * n:
         # a scope beyond 3n vertices always has a black n-matching or a
         # white fan; the witness turns the matching into a black fan
-        m = maximum_matching_general(cw, BLACK, H, stop_at=n)
-        if m.size >= n:
+        found = find_mono_fan(cw, BLACK, n, centers=1 << w)
+        if found is not None:
             trace.record("high_d.matching", center=w)
-            return _must_verify(cw, FanCertificate(BLACK, w, m.edges[:n], n))
+            return found
         found = find_mono_fan(cw, WHITE, n, H)
         if found is not None:
             trace.record("high_d.white_fan", center=found.center)

@@ -7,7 +7,8 @@ reproducible: greedy matchings repeatedly take the smallest available edge,
 and search orders are by ascending vertex index.
 
 The general maximum matching starts from the greedy one and augments along
-blossom paths (Edmonds 1965) only when the greedy matching falls short.
+blossom paths (Edmonds 1965) only when the greedy matching falls short;
+with stop_at=k it is the one test for a k-edge matching.
 The bipartite maximum matching and the Hall violator of maximum deficiency
 are two readings of one alternating search: the matching grows the greedy
 one along its augmenting paths, and the violator is read off a maximum
@@ -94,16 +95,23 @@ def maximum_matching_general(
 ) -> Matching:
     """Maximum matching of the color-induced graph on scope.
 
-    With stop_at=k the search ends as soon as k edges are matched; the
-    returned matching is then maximum if smaller than k.  The greedy
-    maximal matching is returned unchanged when it already has k edges;
-    otherwise it seeds an augmenting-path search with blossom contraction,
-    O(V^3).
+    With stop_at=k it answers whether scope holds a k-edge matching: with
+    exactly k edges when one exists, with fewer when none does.  A greedy
+    maximal matching of k or more edges answers with its first k; one of
+    fewer than k/2 is returned unchanged, as a maximum matching has at most
+    twice the edges of a maximal one.  Otherwise the greedy matching seeds
+    an augmenting-path search with blossom contraction, O(V^3), that stops
+    at k edges.  A negative stop_at is a PreconditionViolated.
     """
+    if stop_at is not None and stop_at < 0:
+        raise PreconditionViolated(f"stop_at must be >= 0, got {stop_at}")
     greedy = greedy_maximal_matching(c, col, scope)
     size = greedy.size
-    if stop_at is not None and size >= stop_at:
-        return greedy
+    if stop_at is not None:
+        if size >= stop_at:
+            return Matching(col, greedy.edges[:stop_at])
+        if 2 * size < stop_at:
+            return greedy
     verts = bit_list(scope)
     N = c.N
     match = [-1] * N

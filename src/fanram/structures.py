@@ -68,6 +68,8 @@ def fan_violation(c: Coloring, cert: FanCertificate) -> str | None:
     N = c.N
     if not 0 <= cert.center < N:
         return f"center {cert.center} out of range"
+    if cert.n_claimed < 1:
+        return f"n_claimed={cert.n_claimed} must be >= 1"
     if len(cert.blades) < cert.n_claimed:
         return f"{len(cert.blades)} blades but {cert.n_claimed} claimed"
     seen = 1 << cert.center
@@ -222,11 +224,11 @@ def find_mono_fan(
 
     A fan with n blades centered at v exists inside scope exactly when the
     color-induced graph on v's in-scope neighborhood has a matching of n
-    edges, so the test scans centers in ascending order and computes
-    matchings with an early stop.  Only the in-scope vertices of centers
-    (default: all of scope) are tried as the center.  Returns a verified
-    certificate for the lowest viable center, or None when no such fan
-    exists.
+    edges, so the test scans centers in ascending order and asks
+    maximum_matching_general(stop_at=n) of each.  Only the in-scope
+    vertices of centers (default: all of scope) are tried as the center.
+    Returns a verified certificate for the lowest viable center, or None
+    when no such fan exists.
     """
     if n < 1:
         raise PreconditionViolated(f"fan parameter must be >= 1, got {n}")
@@ -238,15 +240,9 @@ def find_mono_fan(
         nb = c.neighborhood(v, col) & scope
         if nb.bit_count() < 2 * n:
             continue
-        # a greedy matching settles most centers: reaching n proves the
-        # fan, and below n/2 even doubling cannot reach it
-        m = greedy_maximal_matching(c, col, nb)
-        if 2 * m.size < n:
-            continue
-        if m.size < n:
-            m = maximum_matching_general(c, col, nb, stop_at=n)
-        if m.size >= n:
-            return _must_verify(c, FanCertificate(col, v, m.edges[:n], n))
+        m = maximum_matching_general(c, col, nb, stop_at=n)
+        if m.size == n:
+            return _must_verify(c, FanCertificate(col, v, m.edges, n))
     return None
 
 
@@ -315,8 +311,8 @@ def find_unavoidable_structure(
         )
 
     m = maximum_matching_general(c, col, scope, stop_at=n)
-    if m.size >= n:
-        return "matching", Matching(col, m.edges[:n])
+    if m.size == n:
+        return "matching", m
 
     fan = find_mono_fan(c, col.swap(), n, scope)
     if fan is not None:

@@ -7,7 +7,7 @@ from pathlib import Path
 import networkx as nx
 import pytest
 
-from fanram.cli import main, run
+from fanram.cli import _worker_count, main, run
 from fanram.coloring import BLACK, Coloring
 from fanram.io import save_2col
 from gadgets import cover_gadget
@@ -153,6 +153,16 @@ def test_malformed_certificate_is_usage_error(k46, tmp_path, body):
     assert res.payload["error"] == "precondition"
 
 
+def test_verify_rejects_empty_claim(k46, tmp_path):
+    cert_path = tmp_path / "cert.json"
+    cert_path.write_text(
+        '{"color": "black", "center": 0, "blades": [], "n_claimed": -3}'
+    )
+    res = run(["verify", "--in", k46, "--cert", str(cert_path)])
+    assert res.exit_code == 1
+    assert res.payload == {"valid": False, "violation": "n_claimed=-3 must be >= 1"}
+
+
 def test_usage_error_on_bad_flags():
     res = run(["extract", "--n", "3"])
     assert res.exit_code == 2
@@ -223,6 +233,8 @@ def test_cover_command_can_return_fan(tmp_path):
 
 
 def test_trials_deterministic_across_workers(monkeypatch):
+    # two cores even on a one-core runner, so FANRAM_WORKERS=2 takes the pool
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     monkeypatch.setenv("FANRAM_WORKERS", "1")
     one = run(["trials", "--n", "3", "--count", "6", "--seed", "0"])
     assert one.exit_code == 0
@@ -234,6 +246,28 @@ def test_trials_deterministic_across_workers(monkeypatch):
     assert sum(f["runs"] for f in one.payload["families"].values()) == 6
     assert sum(f["successes"] for f in one.payload["families"].values()) == 6
     assert one.payload["branch_coverage"]
+
+
+@pytest.mark.parametrize(
+    "env, cores, expect",
+    [
+        ("100000", 4, 4),
+        ("3", 4, 3),
+        ("0", 4, 1),
+        ("-5", 4, 1),
+        ("7", None, 1),
+        (None, 6, 6),
+        (None, None, 1),
+    ],
+)
+def test_worker_count_clamped_to_cores(monkeypatch, env, cores, expect):
+    # only _worker_count() runs here: no pool is started
+    if env is None:
+        monkeypatch.delenv("FANRAM_WORKERS", raising=False)
+    else:
+        monkeypatch.setenv("FANRAM_WORKERS", env)
+    monkeypatch.setattr(os, "cpu_count", lambda: cores)
+    assert _worker_count() == expect
 
 
 def test_trials_rejects_nonpositive_n(monkeypatch):

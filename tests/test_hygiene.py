@@ -5,7 +5,9 @@ An import that outlives the code using it, or one tucked inside a
 function, is easy to miss after code moves between modules; this test
 parses each module with ast and names every such import.  The same parse
 keeps the layering: lower modules return witnesses and never take a trace
-or a record sink, and only the extractor raises UnreachableBranch.
+or a record sink, only the extractor raises UnreachableBranch, and the
+k-matching question goes to maximum_matching_general from the two
+structure searches alone.
 """
 
 import ast
@@ -97,3 +99,27 @@ def test_only_the_extractor_and_cli_import_unreachable_branch(path):
         and any(alias.name == "UnreachableBranch" for alias in node.names)
     ]
     assert found == []
+
+
+K_MATCHING_ASKERS = {"find_mono_fan", "find_unavoidable_structure"}
+
+
+def _calls(node: ast.AST) -> set[str]:
+    return {
+        n.func.id
+        for n in ast.walk(node)
+        if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+    }
+
+
+def test_k_matching_asked_in_one_place():
+    # maximum_matching_general(stop_at=k) builds its own greedy matching, so
+    # a caller that also builds one repeats it
+    askers = {}
+    for path in MODULES:
+        for node in ast.walk(_tree(path)):
+            if isinstance(node, ast.FunctionDef):
+                calls = _calls(node)
+                if "maximum_matching_general" in calls:
+                    askers[node.name] = "greedy_maximal_matching" in calls
+    assert askers == dict.fromkeys(K_MATCHING_ASKERS, False)

@@ -143,14 +143,24 @@ def test_maximum_respects_scope_and_stop():
 
 @given(colorings(min_n=1, max_n=12), st.integers(0, 6), st.sampled_from([BLACK, WHITE]))
 def test_stop_at_returns_greedy_when_it_suffices(c, k, col):
-    # the greedy matching seeds the search and is returned unchanged once
-    # it already has stop_at edges
+    # the greedy matching seeds the search: its first k edges answer once it
+    # has k, and it is returned unchanged below k/2, where no k-matching fits
     greedy = greedy_maximal_matching(c, col, c.vertex_mask)
     got = maximum_matching_general(c, col, c.vertex_mask, stop_at=k)
+    brute = brute_max_matching(c, col, c.vertex_mask)
     if greedy.size >= k:
+        assert got.edges == greedy.edges[:k]
+    elif 2 * greedy.size < k:
         assert got == greedy
+        assert brute < k
     else:
-        assert got.size == min(k, brute_max_matching(c, col, c.vertex_mask))
+        assert got.size == min(k, brute)
+
+
+def test_negative_stop_at_rejected():
+    c = Coloring.complete(4, BLACK)
+    with pytest.raises(PreconditionViolated):
+        maximum_matching_general(c, BLACK, c.vertex_mask, stop_at=-1)
 
 
 @given(colorings(min_n=2, max_n=11))

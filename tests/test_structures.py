@@ -102,6 +102,9 @@ def test_verify_fan_range_and_claim_checks():
     c = Coloring.complete(4, BLACK)
     assert fan_violation(c, FanCertificate(BLACK, 9, (), 0)) is not None
     assert fan_violation(c, FanCertificate(BLACK, 0, ((1, 2),), 2)) is not None
+    for k in (0, -3):
+        got = fan_violation(c, FanCertificate(BLACK, 0, (), k))
+        assert got == f"n_claimed={k} must be >= 1"
 
 
 def test_certificate_json_roundtrip():
