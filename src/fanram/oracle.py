@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from .coloring import BLACK, WHITE, Coloring
 from .errors import PreconditionViolated
 from .io import write_2col
-from .rng import SplitMix64
+from .rng import bits_below
 from .structures import find_mono_fan
 
 MAX_EXHAUSTIVE_N = 7
@@ -155,10 +155,7 @@ def bipartite_lower_bound(n: int) -> Coloring:
 def _draws(N: int, seed: int, p: float) -> int:
     """Pair bits of one SplitMix64 draw per pair in canonical order: bit k
     is set iff draw k's next_float() is below p."""
-    next_float = SplitMix64(seed).next_float
-    digits = ["1" if next_float() < p else "0" for _ in range(N * (N - 1) // 2)]
-    digits.reverse()
-    return int("0" + "".join(digits), 2)
+    return bits_below(seed, N * (N - 1) // 2, p)
 
 
 def random_coloring(N: int, seed: int, p_black: float) -> Coloring:

@@ -7,7 +7,8 @@ parses each module with ast and names every such import.  The same parse
 keeps the layering: lower modules return witnesses and never take a trace
 or a record sink, only the extractor raises UnreachableBranch, and the
 k-matching question goes to maximum_matching_general from the two
-structure searches alone.
+structure searches alone.  SplitMix64 is spelled once: its constants and
+its per-draw calls appear in rng.py and nowhere else in fanram.
 """
 
 import ast
@@ -123,3 +124,22 @@ def test_k_matching_asked_in_one_place():
                 if "maximum_matching_general" in calls:
                     askers[node.name] = "greedy_maximal_matching" in calls
     assert askers == dict.fromkeys(K_MATCHING_ASKERS, False)
+
+
+SPLITMIX_CONSTANTS = {0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_splitmix_lives_in_rng(path):
+    # rng.bits_below draws a whole block per step with the same constants as
+    # SplitMix64; a copy of them or a per-draw loop elsewhere is a second
+    # stream that can drift from the first
+    if path.name == "rng.py":
+        return
+    found = [
+        f"{path.name}:{node.lineno}"
+        for node in ast.walk(_tree(path))
+        if isinstance(node, ast.Constant) and node.value in SPLITMIX_CONSTANTS
+        or isinstance(node, ast.Attribute) and node.attr in ("next_float", "next_u64")
+    ]
+    assert found == []

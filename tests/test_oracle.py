@@ -1,3 +1,4 @@
+import math
 import time
 
 import pytest
@@ -22,7 +23,7 @@ from fanram.oracle import (
     exhaustive_ramsey_check,
     random_coloring,
 )
-from fanram.rng import SplitMix64
+from fanram.rng import _BLOCK, SplitMix64, bits_below
 from fanram.structures import find_mono_fan, verify_fan
 from test_coloring import colorings
 
@@ -194,6 +195,48 @@ def test_splitmix_reference_values():
     assert rng.next_u64() == 0x6E789E6AA1B965F4
     rng2 = SplitMix64(1)
     assert rng2.next_u64() == 0x910A2DEC89025CC1
+
+
+def test_bits_below_reference_values():
+    # seed 0's draws above: 0xE220A839... is 0.88 and 0x6E789E6A... is 0.43
+    assert bits_below(0, 2, 0.5) == 0b10
+    assert bits_below(0, 64, 0.5) == 0x6133CEFB8C850576
+    # bits _BLOCK-16 .. _BLOCK+15 straddle the first block boundary
+    assert bits_below(2**64 - 1, _BLOCK + 16, 0.5) >> _BLOCK - 16 == 0x6892B0EA
+
+
+def _draw_loop(seed, count, p):
+    rng = SplitMix64(seed)
+    return sum(1 << k for k in range(count) if rng.next_float() < p)
+
+
+@pytest.mark.parametrize(
+    "count", [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1]
+)
+def test_bits_below_matches_draw_loop_at_block_boundaries(count):
+    for seed in (0, 1, -1, 2**64 - 5, 2**64 - 1):
+        for p in (0.0, 5e-324, 0.05, 0.1, 0.5, 1 - 2**-53, 1.0):
+            assert bits_below(seed, count, p) == _draw_loop(seed, count, p)
+
+
+@given(st.integers(0, 3 * _BLOCK), st.integers(0, 2**64 - 1), st.floats(0.0, 1.0))
+def test_bits_below_matches_draw_loop(count, seed, p):
+    assert bits_below(seed, count, p) == _draw_loop(seed, count, p)
+
+
+def test_bits_below_threshold_is_exact():
+    # p equal to a draw leaves its bit clear; the next float above sets it
+    rng = SplitMix64(5)
+    draws = [rng.next_float() for _ in range(_BLOCK + 1)]
+    for k in (0, 1, 2, _BLOCK - 1, _BLOCK):
+        assert bits_below(5, k + 1, draws[k]) >> k & 1 == 0
+        assert bits_below(5, k + 1, math.nextafter(draws[k], 2.0)) >> k & 1 == 1
+
+
+def test_bits_below_rejects_p_outside_unit_interval():
+    for p in (-0.1, 1.5, float("nan")):
+        with pytest.raises(ValueError):
+            bits_below(0, 1, p)
 
 
 def test_adversarial_pentagon_structure():
