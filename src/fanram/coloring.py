@@ -34,7 +34,7 @@ class Color(Enum):
 BLACK = Color.BLACK
 WHITE = Color.WHITE
 
-# Coloring._from_triangle transposes by grid from this many vertices on
+# Coloring.from_pair_bits transposes by grid from this many vertices on
 _GRID_MIN_N = 24
 
 
@@ -69,27 +69,9 @@ class Coloring:
     @classmethod
     def _from_triangle(cls, N: int, rows) -> "Coloring":
         """Trusted fast path: rows[v] holds v's black neighbours on one side
-        of v only (all above it or all below it); the transpose is ORed in.
-
-        Two transposes give the same adjacency; N alone picks one.  Below
-        N = _GRID_MIN_N = 24 a loop visits each black pair: the exhaustive
-        oracle builds one coloring per fan-free K_m it grows by a vertex,
-        1,008 per benchmark pass (762 of them K_5) and 9,327 for N = 7,
-        n = 2, and at N = 6 the loop takes 2 us against the grid's 5 us.
-        From N = 24 on, the rows are laid out as one N x N grid of binary
-        digits and each column is read with one stride slice and one int().  Its cost does
-        not grow with the number of black pairs, as the loop's does; files
-        at the guaranteed order have N = 118-856, and at N = 428, p = 1/2
-        it takes 0.9 ms against the loop's 9.3 ms.  At p = 1/2 the two
-        cross between N = 20 and 24; denser colorings cross lower.
-        """
-        if N >= _GRID_MIN_N:
-            # reversed, the grid's slice from v with stride N is column v,
-            # last row first
-            grid = "".join([format(row, f"0{N}b") for row in rows])[::-1]
-            return cls._raw(
-                N, tuple(row | int(grid[v::N], 2) for v, row in enumerate(rows))
-            )
+        of v only (all above it or all below it); a loop over the black
+        pairs ORs in the transpose.  Large colorings from files or seeds go
+        through _from_digits instead."""
         adj = list(rows)
         for u, row in enumerate(rows):
             bit = 1 << u
@@ -100,6 +82,27 @@ class Coloring:
                 adj[low.bit_length() - 1] |= bit
                 row ^= low
         return cls._raw(N, tuple(adj))
+
+    @classmethod
+    def _from_digits(cls, N: int, digits: str, mirrored: bool = False) -> "Coloring":
+        """Trusted fast path: the one transpose of every large coloring.
+
+        digits holds a triangle's rows, shortest first: row t is the t
+        binary digits from t(t-1)/2 on.  Row t lists the black neighbours
+        above vertex N-1-t, highest first (digit j is vertex N-1-j), or
+        mirrored, those below vertex t, lowest first (digit j is vertex j).
+        Padded to width N, the rows form an N x N grid in which a vertex's
+        other neighbours are its column below the diagonal, so each
+        adjacency is a row joined to a stride slice and read by one int():
+        about 1 ms at N = 428, with no Python-level step per pair.
+        """
+        rows = [digits[t * (t - 1) // 2 : t * (t + 1) // 2] for t in range(N)]
+        pad = "0" * N
+        grid = "".join([row + pad[t:] for t, row in enumerate(rows)])
+        spans = (row + grid[t * N + t :: N] for t, row in enumerate(rows))
+        if mirrored:
+            return cls._raw(N, tuple(int(span[::-1], 2) for span in spans))
+        return cls._raw(N, tuple(int(span, 2) for span in spans)[::-1])
 
     @classmethod
     def from_pair_list(cls, N: int, pairs) -> "Coloring":
@@ -126,9 +129,21 @@ class Coloring:
 
     @classmethod
     def from_pair_bits(cls, N: int, black_bits: int) -> "Coloring":
-        """Build from an int whose bit k says pair k (canonical order) is black."""
-        if black_bits >> N * (N - 1) // 2:
+        """Build from an int whose bit k says pair k (canonical order) is black.
+
+        Below N = _GRID_MIN_N = 24, where the exhaustive oracle builds about
+        1,000 colorings per benchmark pass (9,327 for N = 7, n = 2), the rows
+        are split off the int and _from_triangle visits each black pair; at
+        N = 6 that takes a third of the grid's time.  From N = 24 on, the int
+        formatted highest pair first lists the rows of vertices N-1, ..., 0,
+        each highest neighbour first, as _from_digits reads them.  At p = 1/2
+        the two cross between N = 20 and 24; denser colorings cross lower.
+        """
+        K = N * (N - 1) // 2
+        if black_bits >> K:
             raise PreconditionViolated("bit pattern longer than the pair count")
+        if N >= _GRID_MIN_N:
+            return cls._from_digits(N, format(black_bits, f"0{K}b"))
         rows = []
         for u in range(N):
             width = N - 1 - u

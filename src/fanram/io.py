@@ -20,8 +20,13 @@ from .errors import ColoringFormatError
 
 # a row's bit string is written lowest vertex first
 _TO_LETTERS = str.maketrans("10", "BW")
-_TO_BITS = str.maketrans("BW", "10")
-_GRAPH6_BITS = {63 + value: format(value, "06b") for value in range(64)}
+_TO_BITS = bytes.maketrans(b"BW", b"10")
+_GRAPH6_CHARS = bytes(range(63, 127))
+# table i maps a graph6 character to the digit of its value's bit 5 - i
+_GRAPH6_DIGITS = [
+    bytes.maketrans(_GRAPH6_CHARS, bytes(48 + (v >> 5 - i & 1) for v in range(64)))
+    for i in range(6)
+]
 
 
 def write_2col(c: Coloring) -> str:
@@ -50,7 +55,9 @@ def parse_2col(text: str) -> Coloring:
     need = N * (N - 1) // 2
     entries = "".join("".join(lines[1:]).split())
     k = len(entries)
-    if entries.strip("BW") or k > need:
+    # a non-ASCII character, even a lone surrogate, is encoded as "?"
+    letters = entries.encode("ascii", "replace")
+    if letters.translate(None, b"BW") or k > need:
         raise _first_fault(lines, need)
     if k < need:
         u, v = _pair_at(N, k)
@@ -59,7 +66,7 @@ def parse_2col(text: str) -> Coloring:
             line=len(lines),
         )
     # entry k is pair k, and bit k of the int
-    return Coloring.from_pair_bits(N, int(entries[::-1].translate(_TO_BITS) or "0", 2))
+    return Coloring.from_pair_bits(N, int(letters[::-1].translate(_TO_BITS) or b"0", 2))
 
 
 def _first_fault(lines: list[str], need: int) -> ColoringFormatError:
@@ -97,15 +104,14 @@ def parse_graph6(text: str) -> Coloring:
         s = s[len(">>graph6<<") :]
     if not s:
         raise ColoringFormatError("empty graph6 input", line=1)
-    data = [ord(ch) - 63 for ch in s]
-    for offset, value in enumerate(data):
-        if not 0 <= value <= 63:
-            raise ColoringFormatError("byte out of graph6 range", line=1, offset=offset)
-    if data[0] < 63:
-        N = data[0]
+    if not s.isascii() or s.encode().translate(None, _GRAPH6_CHARS):
+        offset = next(i for i, ch in enumerate(s) if not "?" <= ch <= "~")
+        raise ColoringFormatError("byte out of graph6 range", line=1, offset=offset)
+    if s[0] != "~":
+        N = ord(s[0]) - 63
         body = s[1:]
-    elif len(data) >= 4 and data[1] < 63:
-        N = (data[1] << 12) | (data[2] << 6) | data[3]
+    elif len(s) >= 4 and s[1] != "~":
+        N = int(_graph6_digits(s[1:4]), 2)
         body = s[4:]
     else:
         raise ColoringFormatError("unsupported graph6 size prefix", line=1)
@@ -117,13 +123,18 @@ def parse_graph6(text: str) -> Coloring:
             f"graph6 body length {len(body)} does not match n={N}", line=1
         )
     # graph6 bit order is column-major: (0,1), (0,2), (1,2), (0,3), ...,
-    # so column v is the v characters from v(v-1)/2 on, lowest vertex first
-    stream = body.translate(_GRAPH6_BITS)
-    rows = [
-        int(stream[v * (v - 1) // 2 : v * (v + 1) // 2][::-1] or "0", 2)
-        for v in range(N)
-    ]
-    return Coloring._from_triangle(N, rows)
+    # so column v is the v digits from v(v-1)/2 on, lowest vertex first:
+    # the mirrored rows of Coloring._from_digits
+    return Coloring._from_digits(N, _graph6_digits(body), mirrored=True)
+
+
+def _graph6_digits(chars: str) -> str:
+    """The six binary digits of each graph6 character, highest first."""
+    raw = chars.encode()
+    digits = bytearray(6 * len(raw))
+    for i, table in enumerate(_GRAPH6_DIGITS):
+        digits[i::6] = raw.translate(table)
+    return digits.decode()
 
 
 def parse_coloring(text: str) -> Coloring:

@@ -2,8 +2,9 @@
 
 Nothing here shares code with the package's search algorithms: matchings
 are found by exhaustive recursion over vertex masks, deficiencies by
-subset dynamic programming, fans and cliques by direct enumeration, and
-seeded colorings by deciding one pair per SplitMix64 draw.
+subset dynamic programming, fans and cliques by direct enumeration,
+seeded colorings by deciding one pair per SplitMix64 draw, and graph6
+text by writing one digit per pair.
 """
 
 from __future__ import annotations
@@ -154,3 +155,16 @@ def brute_adversarial_coloring(kind: str, N: int, seed: int) -> Coloring:
     return _per_pair(
         N, seed, lambda u, v, roll: u < planted and v < planted or roll < 0.5
     )
+
+
+def brute_graph6(N: int, black) -> str:
+    """graph6 text of the graph on [0, N) whose edges are the pairs u < v
+    with black(u, v): one digit per pair in column-major order, zero-padded
+    to whole 6-digit characters, after the 1- or 4-character size prefix."""
+    digits = "".join(
+        "1" if black(u, v) else "0" for v in range(N) for u in range(v)
+    )
+    digits += "0" * (-len(digits) % 6)
+    size = [N] if N < 63 else [63, N >> 12, N >> 6 & 63, N & 63]
+    chunks = [int(digits[i : i + 6], 2) for i in range(0, len(digits), 6)]
+    return "".join(chr(63 + value) for value in size + chunks)

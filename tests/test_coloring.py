@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from bruteforce import brute_graph6
 from fanram.bitset import bit_list, mask_of
 from fanram.coloring import _GRID_MIN_N, BLACK, WHITE, Color, Coloring, context_of
 from fanram.errors import (
@@ -13,7 +14,7 @@ from fanram.errors import (
     SelfPairError,
     VertexRangeError,
 )
-from fanram.io import parse_2col, write_2col
+from fanram.io import parse_2col, parse_graph6, write_2col
 
 
 @st.composite
@@ -180,9 +181,12 @@ def test_vertex_sets_are_masks():
 
 
 def test_from_triangle_matches_checked_constructor():
-    # the loop below _GRID_MIN_N and the grid from it on, against the
-    # validating constructor, which rejects asymmetric or diagonal bits;
-    # N = 1..40 covers the crossover and its neighbours
+    # every trusted builder against the validating constructor, which
+    # rejects asymmetric or diagonal bits: _from_triangle's loop on upper
+    # and lower rows, from_pair_bits (the loop below _GRID_MIN_N, upper
+    # rows into _from_digits from it on) and parse_graph6 (mirrored lower
+    # rows into _from_digits); N = 1..40 covers the crossover and its
+    # neighbours, and 64 the long graph6 size prefix
     assert 1 < _GRID_MIN_N < 40
     for N in (*range(1, 41), 64, 118, 428):
         rng = random.Random(N)
@@ -195,12 +199,19 @@ def test_from_triangle_matches_checked_constructor():
         for name, upper in draws.items():
             adj = [0] * N
             lower = [0] * N
+            pair_bits = 0
+            k = 0
             for u in range(N):
                 for v in range(u + 1, N):
                     if upper[u] >> v & 1:
                         adj[u] |= 1 << v
                         adj[v] |= 1 << u
                         lower[v] |= 1 << u
+                        pair_bits |= 1 << k
+                    k += 1
             want = Coloring(N, tuple(adj))
+            text = brute_graph6(N, lambda u, v: upper[u] >> v & 1)
             assert Coloring._from_triangle(N, upper) == want, (N, name)
             assert Coloring._from_triangle(N, lower) == want, (N, name)
+            assert Coloring.from_pair_bits(N, pair_bits) == want, (N, name)
+            assert parse_graph6(text) == want, (N, name)

@@ -1,6 +1,7 @@
 import networkx as nx
 import pytest
 
+from bruteforce import brute_graph6
 from fanram.coloring import _GRID_MIN_N, BLACK, WHITE, Coloring
 from fanram.errors import ColoringFormatError
 from fanram.io import (
@@ -86,6 +87,41 @@ def test_2col_too_few_and_too_many():
         parse_2col("p 2col 4\nBBB\nW\n")
 
 
+_BAD_2COL = "unexpected character "
+_BAD_GRAPH6 = "byte out of graph6 range"
+
+
+@pytest.mark.parametrize(
+    "parse, text, line, offset, message",
+    [
+        (parse_2col, "p 2col 3\nB\udc80B\n", 2, 1, _BAD_2COL + "'\\udc80'"),
+        (parse_2col, "p 2col 3\nB\u00e9 B\n", 2, 1, _BAD_2COL + "'\u00e9'"),
+        (parse_2col, "p 2col 3\nB1B\n", 2, 1, _BAD_2COL + "'1'"),
+        (parse_2col, "p 2col 3\nB_B\n", 2, 1, _BAD_2COL + "'_'"),
+        (parse_graph6, "D\udc80\x7f", 1, 1, _BAD_GRAPH6),
+        (parse_graph6, "D\u00e9?", 1, 1, _BAD_GRAPH6),
+        (parse_graph6, "D?\x7f", 1, 2, _BAD_GRAPH6),
+    ],
+    ids=[
+        "2col-surrogate",
+        "2col-accent",
+        "2col-digit",
+        "2col-underscore",
+        "graph6-surrogate",
+        "graph6-accent",
+        "graph6-del",
+    ],
+)
+def test_hostile_text_keeps_its_error(parse, text, line, offset, message):
+    # non-ASCII text (a lone surrogate cannot even be encoded) and ASCII
+    # that is neither a pair letter nor graph6 are named where they stand;
+    # a '1' or '_' never reaches the int() that reads the digits
+    with pytest.raises(ColoringFormatError) as exc:
+        parse(text)
+    assert str(exc.value) == f"{message} (line {line}, offset {offset})"
+    assert (exc.value.line, exc.value.offset) == (line, offset)
+
+
 def test_2col_huge_header_short_body():
     # 16 bytes declaring N = 3e6: rejected from the entry count alone,
     # without listing the 4.5e12 pairs the header promises
@@ -103,6 +139,17 @@ def test_graph6_against_networkx():
             c = random_coloring(N, seed, 0.5)
             text = nx.to_graph6_bytes(_black_graph(c), header=False).decode().strip()
             assert parse_graph6(text) == c
+            # the writer the larger tests use, checked against networkx
+            assert brute_graph6(N, lambda u, v: c.pair_color(u, v) is BLACK) == text
+
+
+def test_largest_file_roundtrip():
+    # N = 856 is the largest order the benchmark parses; no other test
+    # reaches it.  The graph6 text is written one digit per pair.
+    c = random_coloring(856, 1, 0.5)
+    assert parse_2col(write_2col(c)) == c
+    text = brute_graph6(c.N, lambda u, v: c.pair_color(u, v) is BLACK)
+    assert parse_graph6(text) == c
 
 
 def test_pair_at_matches_canonical_order():
