@@ -34,8 +34,15 @@ class Color(Enum):
 BLACK = Color.BLACK
 WHITE = Color.WHITE
 
-# Coloring.from_pair_bits transposes by grid from this many vertices on
-_GRID_MIN_N = 24
+
+def _upper_digits(rows) -> str:
+    """The digit string Coloring._from_digits reads, from rows whose bits
+    above each vertex are its black neighbours there: vertices N-2, ..., 0,
+    each highest neighbour first.  Read as one binary int it is pair_bits()."""
+    N = len(rows)
+    return "".join(
+        [format(rows[u] >> u + 1, f"0{N - 1 - u}b") for u in range(N - 2, -1, -1)]
+    )
 
 
 class Coloring:
@@ -67,25 +74,8 @@ class Coloring:
         return self
 
     @classmethod
-    def _from_triangle(cls, N: int, rows) -> "Coloring":
-        """Trusted fast path: rows[v] holds v's black neighbours on one side
-        of v only (all above it or all below it); a loop over the black
-        pairs ORs in the transpose.  Large colorings from files or seeds go
-        through _from_digits instead."""
-        adj = list(rows)
-        for u, row in enumerate(rows):
-            bit = 1 << u
-            # bitset.bits inlined: the exhaustive oracle builds ~1,000 small
-            # colorings per pass, 9,327 for N = 7
-            while row:
-                low = row & -row
-                adj[low.bit_length() - 1] |= bit
-                row ^= low
-        return cls._raw(N, tuple(adj))
-
-    @classmethod
     def _from_digits(cls, N: int, digits: str, mirrored: bool = False) -> "Coloring":
-        """Trusted fast path: the one transpose of every large coloring.
+        """Trusted fast path: the one transpose of every coloring.
 
         digits holds a triangle's rows, shortest first: row t is the t
         binary digits from t(t-1)/2 on.  Row t lists the black neighbours
@@ -122,34 +112,29 @@ class Coloring:
             seen.add(key)
             if color is BLACK:
                 rows[key[0]] |= 1 << key[1]
+            elif color is not WHITE:
+                raise PreconditionViolated(
+                    f"pair {key} has color {color!r}, not BLACK or WHITE"
+                )
         if len(seen) != N * (N - 1) // 2:
             missing = min({(u, v) for u in range(N) for v in range(u + 1, N)} - seen)
             raise MissingPairError(f"pair {missing} missing")
-        return cls._from_triangle(N, rows)
+        return cls._from_digits(N, _upper_digits(rows))
 
     @classmethod
     def from_pair_bits(cls, N: int, black_bits: int) -> "Coloring":
         """Build from an int whose bit k says pair k (canonical order) is black.
 
-        Below N = _GRID_MIN_N = 24, where the exhaustive oracle builds about
-        1,000 colorings per benchmark pass (9,327 for N = 7, n = 2), the rows
-        are split off the int and _from_triangle visits each black pair; at
-        N = 6 that takes a third of the grid's time.  From N = 24 on, the int
-        formatted highest pair first lists the rows of vertices N-1, ..., 0,
-        each highest neighbour first, as _from_digits reads them.  At p = 1/2
-        the two cross between N = 20 and 24; denser colorings cross lower.
+        Formatted highest pair first, the int lists the rows of vertices
+        N-1, ..., 0, each highest neighbour first, as _from_digits reads them.
         """
+        if N < 1:
+            raise PreconditionViolated(f"need at least one vertex, got N={N}")
         K = N * (N - 1) // 2
         if black_bits >> K:
             raise PreconditionViolated("bit pattern longer than the pair count")
-        if N >= _GRID_MIN_N:
-            return cls._from_digits(N, format(black_bits, f"0{K}b"))
-        rows = []
-        for u in range(N):
-            width = N - 1 - u
-            rows.append((black_bits & ((1 << width) - 1)) << (u + 1))
-            black_bits >>= width
-        return cls._from_triangle(N, rows)
+        # digits holds exactly K digits, and format(0, "00b") is "0", not ""
+        return cls._from_digits(N, format(black_bits, f"0{K}b") if K else "")
 
     @classmethod
     def complete(cls, N: int, color: Color) -> "Coloring":
@@ -191,10 +176,7 @@ class Coloring:
 
     def pair_bits(self) -> int:
         """Inverse of from_pair_bits."""
-        out = 0
-        for u in reversed(range(self.N)):
-            out = (out << (self.N - 1 - u)) | (self._black[u] >> (u + 1))
-        return out
+        return int(_upper_digits(self._black) or "0", 2)
 
     def __eq__(self, other) -> bool:
         return (

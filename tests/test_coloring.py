@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from bruteforce import brute_graph6
 from fanram.bitset import bit_list, mask_of
-from fanram.coloring import _GRID_MIN_N, BLACK, WHITE, Color, Coloring, context_of
+from fanram.coloring import BLACK, WHITE, Color, Coloring, context_of
 from fanram.errors import (
     DuplicatePairError,
     MissingPairError,
@@ -55,6 +55,18 @@ def test_from_pair_list_errors():
         Coloring.from_pair_list(2, [(0, 2, BLACK)])
     with pytest.raises(DuplicatePairError):
         Coloring.from_pair_list(2, [(0, 1, BLACK), (1, 0, WHITE)])
+
+
+def test_from_pair_list_rejects_non_color():
+    for color in ("black", True, None):
+        with pytest.raises(PreconditionViolated, match=r"pair \(0, 1\)"):
+            Coloring.from_pair_list(2, [(0, 1, color)])
+
+
+def test_from_pair_bits_needs_a_vertex():
+    for N in (0, -3):
+        with pytest.raises(PreconditionViolated, match="at least one vertex"):
+            Coloring.from_pair_bits(N, 0)
 
 
 def test_single_vertex_coloring_is_legal():
@@ -180,14 +192,13 @@ def test_vertex_sets_are_masks():
     assert nb & (1 << 2) == 0
 
 
-def test_from_triangle_matches_checked_constructor():
+def test_builders_match_checked_constructor():
     # every trusted builder against the validating constructor, which
-    # rejects asymmetric or diagonal bits: _from_triangle's loop on upper
-    # and lower rows, from_pair_bits (the loop below _GRID_MIN_N, upper
-    # rows into _from_digits from it on) and parse_graph6 (mirrored lower
-    # rows into _from_digits); N = 1..40 covers the crossover and its
-    # neighbours, and 64 the long graph6 size prefix
-    assert 1 < _GRID_MIN_N < 40
+    # rejects asymmetric or diagonal bits: from_pair_bits, from_pair_list
+    # and parse_2col (upper rows into _from_digits) and parse_graph6
+    # (mirrored lower rows into _from_digits); pair_bits() against the
+    # int built pair by pair.  N = 1..40 covers the smallest triangles,
+    # 64 the long graph6 size prefix
     for N in (*range(1, 41), 64, 118, 428):
         rng = random.Random(N)
         full = (1 << N) - 1
@@ -198,20 +209,24 @@ def test_from_triangle_matches_checked_constructor():
         }
         for name, upper in draws.items():
             adj = [0] * N
-            lower = [0] * N
+            pairs = []
             pair_bits = 0
             k = 0
             for u in range(N):
                 for v in range(u + 1, N):
-                    if upper[u] >> v & 1:
+                    black = upper[u] >> v & 1
+                    if black:
                         adj[u] |= 1 << v
                         adj[v] |= 1 << u
-                        lower[v] |= 1 << u
                         pair_bits |= 1 << k
+                    pairs.append((u, v, BLACK if black else WHITE))
                     k += 1
             want = Coloring(N, tuple(adj))
             text = brute_graph6(N, lambda u, v: upper[u] >> v & 1)
-            assert Coloring._from_triangle(N, upper) == want, (N, name)
-            assert Coloring._from_triangle(N, lower) == want, (N, name)
-            assert Coloring.from_pair_bits(N, pair_bits) == want, (N, name)
+            c = Coloring.from_pair_bits(N, pair_bits)
+            assert c == want, (N, name)
+            assert Coloring.from_pair_list(N, pairs) == want, (N, name)
+            assert parse_2col(write_2col(want)) == want, (N, name)
             assert parse_graph6(text) == want, (N, name)
+            assert want.pair_bits() == pair_bits, (N, name)
+            assert Coloring.from_pair_bits(N, c.pair_bits()) == c, (N, name)

@@ -2,7 +2,7 @@ import networkx as nx
 import pytest
 
 from bruteforce import brute_graph6
-from fanram.coloring import _GRID_MIN_N, BLACK, WHITE, Coloring
+from fanram.coloring import BLACK, WHITE, Coloring
 from fanram.errors import ColoringFormatError
 from fanram.io import (
     _pair_at,
@@ -16,10 +16,9 @@ from fanram.io import (
 from fanram.oracle import random_coloring
 
 
-# every row width from a single vertex up, the two sizes either side of
-# the transpose crossover, and n=70, where graph6 switches to the
-# four-byte size prefix
-_EDGE_WIDTHS = (*range(1, 13), _GRID_MIN_N - 1, _GRID_MIN_N, 70)
+# every row width from a single vertex up, 23 and 24, and n=70, where
+# graph6 switches to the four-byte size prefix
+_EDGE_WIDTHS = (*range(1, 13), 23, 24, 70)
 
 
 def _black_graph(c):
