@@ -226,15 +226,11 @@ def compute_cover(
     covered = 0
     sequence = []
     while covered != members:
-        best_v = -1
-        best_gain = -1
-        for v in bits(members & ~covered):
-            gain = (recs[v].C & ~covered).bit_count()
-            if gain > best_gain:
-                best_gain = gain
-                best_v = v
-        sequence.append((best_v, recs[best_v]))
-        covered |= recs[best_v].C
+        v = max(
+            bits(members & ~covered), key=lambda z: (recs[z].C & ~covered).bit_count()
+        )
+        sequence.append((v, recs[v]))
+        covered |= recs[v].C
 
     rec = CoverRecord(A=A, t=len(sequence), sequence=tuple(sequence))
     violation = cover_violation(c, rec, n, _all_records=recs)

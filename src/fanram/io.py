@@ -45,10 +45,10 @@ def parse_2col(text: str) -> Coloring:
     header = lines[0].split()
     if len(header) != 3 or header[0] != "p" or header[1] != "2col":
         raise ColoringFormatError("expected header 'p 2col N'", line=1)
-    try:
-        N = int(header[2])
-    except ValueError:
-        raise ColoringFormatError(f"bad vertex count {header[2]!r}", line=1) from None
+    # int() alone would also take "1_0", "+3" and non-ASCII digits
+    if not (header[2].isascii() and header[2].isdigit()):
+        raise ColoringFormatError(f"bad vertex count {header[2]!r}", line=1)
+    N = int(header[2])
     if N < 1:
         raise ColoringFormatError(f"bad vertex count {N}", line=1)
 
@@ -138,9 +138,11 @@ def _graph6_digits(chars: str) -> str:
 
 
 def parse_coloring(text: str) -> Coloring:
-    """Sniff the format: a 'p 2col' header wins, otherwise try graph6."""
+    """Sniff the format: 'p' and then whitespace opens a .2col header,
+    anything else is read as graph6.  A graph6 line holds no whitespace,
+    though one for N = 49 starts with 'p'."""
     stripped = text.lstrip()
-    if stripped.startswith("p "):
+    if stripped[:1] == "p" and stripped[1:2].isspace():
         return parse_2col(text)
     return parse_graph6(text)
 

@@ -8,7 +8,9 @@ and search orders are by ascending vertex index.
 
 The general maximum matching starts from the greedy one and augments along
 blossom paths (Edmonds 1965) only when the greedy matching falls short;
-with stop_at=k it is the one test for a k-edge matching.
+with stop_at=k it is the one test for a k-edge matching.  Its search keeps
+the visited, ancestor and blossom vertex sets as bitmasks too; only the
+mate, parent and base maps are per-vertex lists.
 The bipartite maximum matching and the Hall violator of maximum deficiency
 are two readings of one alternating search: the matching grows the greedy
 one along its augmenting paths, and the violator is read off a maximum
@@ -118,37 +120,36 @@ def maximum_matching_general(
     for u, v in greedy.edges:
         match[u] = v
         match[v] = u
-    p = [-1] * N
-    base = list(range(N))
+    p = base = []  # find_path rebinds both for each root
 
     def lca(a: int, b: int) -> int:
-        seen = [False] * N
+        seen = 0
         while True:
             a = base[a]
-            seen[a] = True
+            seen |= 1 << a
             if match[a] == -1:
                 break
             a = p[match[a]]
         while True:
             b = base[b]
-            if seen[b]:
+            if seen >> b & 1:
                 return b
             b = p[match[b]]
 
-    def mark_path(v: int, b: int, child: int, blossom: list[bool]) -> None:
+    def mark_path(v: int, b: int, child: int) -> int:
+        blossom = 0
         while base[v] != b:
-            blossom[base[v]] = True
-            blossom[base[match[v]]] = True
+            blossom |= 1 << base[v] | 1 << base[match[v]]
             p[v] = child
             child = match[v]
             v = p[match[v]]
+        return blossom
 
     def find_path(root: int) -> bool:
         nonlocal p, base
-        used = [False] * N
+        used = 1 << root
         p = [-1] * N
         base = list(range(N))
-        used[root] = True
         q = deque([root])
         while q:
             v = q.popleft()
@@ -157,26 +158,21 @@ def maximum_matching_general(
                     continue
                 if to == root or (match[to] != -1 and p[match[to]] != -1):
                     curbase = lca(v, to)
-                    blossom = [False] * N
-                    mark_path(v, curbase, to, blossom)
-                    mark_path(to, curbase, v, blossom)
+                    blossom = mark_path(v, curbase, to) | mark_path(to, curbase, v)
                     for i in verts:
-                        if blossom[base[i]]:
+                        if blossom >> base[i] & 1:
                             base[i] = curbase
-                            if not used[i]:
-                                used[i] = True
+                            if not used >> i & 1:
+                                used |= 1 << i
                                 q.append(i)
                 elif p[to] == -1:
                     p[to] = v
                     if match[to] == -1:
                         while to != -1:
                             pv = p[to]
-                            ppv = match[pv]
-                            match[to] = pv
-                            match[pv] = to
-                            to = ppv
+                            match[to], match[pv], to = pv, to, match[pv]
                         return True
-                    used[match[to]] = True
+                    used |= 1 << match[to]
                     q.append(match[to])
         return False
 

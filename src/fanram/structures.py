@@ -12,9 +12,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from operator import index
 
-from .bitset import bit_list, bits, lowest, mask_of
+from .bitset import bits, lowest
 from .coloring import Color, Coloring
 from .errors import ConstructionFailure, PreconditionViolated, StructureSearchFailure
 from .matching import (
@@ -25,6 +26,13 @@ from .matching import (
     max_deficiency_certificate,
     maximum_matching_general,
 )
+
+
+def _json_int(x) -> int:
+    """x as an int; JSON true and false are not integers here."""
+    if isinstance(x, bool):
+        raise TypeError(f"{x!r} is not an integer")
+    return index(x)
 
 
 @dataclass(frozen=True)
@@ -48,9 +56,9 @@ class FanCertificate:
         try:
             return cls(
                 color=Color(d["color"]),
-                center=index(d["center"]),
-                blades=tuple((index(a), index(b)) for a, b in d["blades"]),
-                n_claimed=index(d["n_claimed"]),
+                center=_json_int(d["center"]),
+                blades=tuple((_json_int(a), _json_int(b)) for a, b in d["blades"]),
+                n_claimed=_json_int(d["n_claimed"]),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise PreconditionViolated(f"malformed certificate: {exc!r}") from None
@@ -147,6 +155,10 @@ def _must_verify(c: Coloring, cert: FanCertificate) -> FanCertificate:
 class _FanBuilder:
     """Accumulates vertex-disjoint blades for a fan at a fixed center.
 
+    add_edges is the one place a blade is recorded: match_into feeds it
+    matching edges, pair_across zips the free vertices of two sides in
+    ascending order (at most cap pairs), and pair_within pairs the free
+    vertices of one side in ascending order, dropping an odd one out.
     Blade validity is not checked while pairing; build() verifies the
     finished certificate, so an invalid pairing program surfaces as a
     construction failure instead of a bad certificate.
@@ -167,18 +179,11 @@ class _FanBuilder:
     def pair_across(self, xs_mask: int, ys_mask: int, cap: int | None = None) -> None:
         xs_mask &= ~self.used
         ys_mask &= ~self.used & ~xs_mask
-        pairs = zip(bits(xs_mask), bits(ys_mask))
-        for k, (a, b) in enumerate(pairs):
-            if cap is not None and k >= cap:
-                break
-            self.blades.append((a, b))
-            self.used |= 1 << a | 1 << b
+        self.add_edges(islice(zip(bits(xs_mask), bits(ys_mask)), cap))
 
     def pair_within(self, mask: int) -> None:
-        vs = bit_list(mask & ~self.used)
-        for i in range(0, len(vs) - 1, 2):
-            self.blades.append((vs[i], vs[i + 1]))
-            self.used |= 1 << vs[i] | 1 << vs[i + 1]
+        vs = bits(mask & ~self.used)
+        self.add_edges(zip(vs, vs))
 
     def match_into(self, T: int, *parts: int) -> tuple[Matching, Matching, int, int]:
         """The shared fan attempt: blades from a greedy maximal matching M
@@ -253,34 +258,54 @@ def find_clique(
 
     Branch and bound over a static degree-descending vertex order with a
     counting prune; returns the first clique found (deterministic) or None
-    when none of that size exists.
+    when none of that size exists.  Each node is first bounded by a greedy
+    coloring of its candidates (Tomita & Seki 2003): a clique meets every
+    color class at most once, so a node whose classes cannot complete
+    `size` holds no such clique.  That prune skips only empty subtrees, so
+    the first clique found is the same as without it.
     """
     if size < 1:
         raise PreconditionViolated(f"clique size must be >= 1, got {size}")
-    verts = bit_list(scope)
-    if len(verts) < size:
+    if scope.bit_count() < size:
         return None
-    adj = {v: c.neighborhood(v, col) & scope for v in verts}
-    order = sorted(verts, key=lambda v: (-adj[v].bit_count(), v))
+    adj = {v: c.neighborhood(v, col) & scope for v in bits(scope)}
+    order = sorted(adj, key=lambda v: (-adj[v].bit_count(), v))
 
-    def expand(chosen: list[int], cand: int) -> list[int] | None:
-        if len(chosen) >= size:
+    def colorable_below(cand: int, need: int) -> bool:
+        # each class takes the lowest vertex left, then the lowest one
+        # col-joined to none taken so far, and so on
+        while cand:
+            need -= 1
+            if need == 0:
+                return False
+            avail = cand
+            while avail:
+                low = avail & -avail
+                cand ^= low
+                avail &= ~(adj[low.bit_length() - 1] | low)
+        return True
+
+    def expand(chosen: int, cand: int) -> int | None:
+        need = size - chosen.bit_count()
+        if need <= 0:
             return chosen
+        if colorable_below(cand, need):
+            return None
         for v in order:
             if not cand >> v & 1:
                 continue
-            if len(chosen) + cand.bit_count() < size:
+            if chosen.bit_count() + cand.bit_count() < size:
                 return None
             cand &= ~(1 << v)
-            found = expand(chosen + [v], cand & adj[v])
+            found = expand(chosen | 1 << v, cand & adj[v])
             if found is not None:
                 return found
         return None
 
-    found = expand([], scope)
+    found = expand(0, scope)
     if found is None:
         return None
-    w = CliqueWitness(col, mask_of(found))
+    w = CliqueWitness(col, found)
     violation = clique_violation(c, w)
     if violation is not None:
         raise ConstructionFailure(f"clique search produced a non-clique: {violation}")

@@ -4,7 +4,9 @@ Nothing here shares code with the package's search algorithms: matchings
 are found by exhaustive recursion over vertex masks, deficiencies by
 subset dynamic programming, fans and cliques by direct enumeration,
 seeded colorings by deciding one pair per SplitMix64 draw, and graph6
-text by writing one digit per pair.
+text by writing one digit per pair.  reference_clique is the clique
+search as it stood before its coloring bound, kept as the witness the
+bounded search must reproduce.
 """
 
 from __future__ import annotations
@@ -107,6 +109,34 @@ def brute_clique_exists(c: Coloring, col, size: int, scope: int) -> bool:
         ):
             return True
     return False
+
+
+def reference_clique(c: Coloring, col, size: int, scope: int) -> int | None:
+    """First col-clique of `size` vertices in a depth-first search over a
+    static degree-descending order, pruned only by counting candidates;
+    its members as a mask, or None."""
+    verts = bit_list(scope)
+    if len(verts) < size:
+        return None
+    adj = {v: c.neighborhood(v, col) & scope for v in verts}
+    order = sorted(verts, key=lambda v: (-adj[v].bit_count(), v))
+
+    def expand(chosen: list[int], cand: int) -> list[int] | None:
+        if len(chosen) >= size:
+            return chosen
+        for v in order:
+            if not cand >> v & 1:
+                continue
+            if len(chosen) + cand.bit_count() < size:
+                return None
+            cand &= ~(1 << v)
+            found = expand(chosen + [v], cand & adj[v])
+            if found is not None:
+                return found
+        return None
+
+    found = expand([], scope)
+    return None if found is None else sum(1 << v for v in found)
 
 
 def _per_pair(N: int, seed: int, black) -> Coloring:

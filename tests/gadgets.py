@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from fanram.bitset import mask_of
 from fanram.coloring import BLACK, Coloring
+from fanram.extractor import min_order
 from fanram.structures import CliqueWitness
 
 
@@ -101,3 +102,52 @@ def blocker_fixture(s1_size: int, cross_black: bool, s2_size: int | None = None,
                 join(u, v)
     c = Coloring(N, tuple(adj))
     return c, mask_of(s1), mask_of(s2), mask_of(t)
+
+
+def split_fixture(n: int, d: int) -> Coloring:
+    """A coloring of K_N, N = min_order(n), whose faithful extraction finds
+    the black clique of find_unavoidable_structure (needs d <= 3n - 1).
+
+    Vertex 0 plays w.  Its black neighbourhood H = 1..d splits into a black
+    clique X = 1..n-1, black to w and to all of Y, and a white clique
+    Y = n..d, black to w.  The rest R = d+1..N-1 is white to w and to X.
+    Each Y vertex takes d - n black neighbours in R, handed out round-robin,
+    and R carries a black circulant of degree k = d - 1 - floor(E / |R|)
+    for the E pairs between Y and R (offsets 1..k//2, plus the antipodal
+    matching when k is odd).  When k is odd and |R| is too, the first few Y
+    vertices take one neighbour fewer, so that E drops to the multiple of
+    |R| below it and k turns even.  So every black degree is d - 1 or d,
+    and context_of picks (0, BLACK) with degree d.
+    """
+    N = min_order(n)
+    R = range(d + 1, N)
+    Y = range(n, d + 1)
+    E = len(Y) * (d - n)
+    if (d - 1 - E // len(R)) % 2 and len(R) % 2:
+        E -= E % len(R) + 1
+    short = len(Y) * (d - n) - E
+    if short > len(Y):
+        raise ValueError(f"no parity fix for n={n}, d={d}")
+    k = d - 1 - E // len(R)
+    adj = [0] * N
+
+    def join(u, v):
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+
+    for u in range(1, d + 1):
+        join(0, u)
+        for v in range(1, min(u, n)):
+            join(u, v)  # u's pairs to the X vertices below it
+    slot = 0
+    for i, y in enumerate(Y):
+        for _ in range(d - n - (i < short)):
+            join(y, R[slot % len(R)])
+            slot += 1
+    offsets = list(range(1, k // 2 + 1))
+    if k % 2:
+        offsets.append(len(R) // 2)  # the antipodal matching
+    ring = circulant(len(R), offsets)
+    for i, u in enumerate(R):
+        adj[u] |= ring.neighborhood(i, BLACK) << R[0]
+    return Coloring(N, tuple(adj))

@@ -5,11 +5,24 @@ which dispatch bands are reachable at all for each fan parameter given
 the guaranteed order: since d is at least ceil((N-1)/2), small n can
 never leave the high-degree case, and the two-clique endgame's internal
 carving only becomes self-consistent around n = 49.
+
+It also pins where find_unavoidable_structure can first return a clique.
+Lemma: a 2-colored K_h with h = 3n - cc + 4 and cc <= 4 that has no black
+n-matching has a white fan with n blades.  (Tutte-Berge gives a set U
+whose removal leaves k >= n - cc + 6 + |U| odd black components, so
+|U| <= n - 1; a vertex v of a smallest component, of size s <= 2, is
+white to the complete multipartite white graph on the other components,
+and leaving out its largest part leaves at least k - 2 >= n + |U|
+vertices, enough for n blades at v.)  So the clique branches need
+cc = 3n + 4 - d >= 5, and at cc = 5 the bound is tight.
 """
 
 from fractions import Fraction
 
+from fanram.coloring import BLACK, WHITE, Coloring
 from fanram.extractor import _thr_big, _thr_high, _thr_low, min_order
+from fanram.matching import maximum_matching_general
+from fanram.structures import find_mono_fan
 
 
 def _dmin(n: int) -> int:
@@ -123,3 +136,63 @@ def test_blocker_deficiency_slack():
         assert mid_white_floor - 2 * n > Fraction(5 * n, 12) + 6
         low_white_floor = Fraction(31 * n, 6) + 14 - (_thr_low(n)) - 1
         assert low_white_floor - 2 * n > Fraction(n, 2) + 5
+
+
+def _band(n: int, d: int) -> str:
+    if d >= _thr_high(n):
+        return "high_d"
+    return "mid" if d >= _thr_low(n) else "low"
+
+
+def test_first_clique_reachable_order_per_band():
+    # cc = 3n + 4 - d >= 5 means d <= 3n - 1, and d >= ceil((N - 1)/2);
+    # the low entry has d = (N - 1)/2 exactly, a 56-regular coloring of K_113
+    first = {}
+    for n in range(1, 60):
+        for d in range(_dmin(n), 3 * n):
+            first.setdefault(_band(n, d), (n, min_order(n), d, 3 * n + 4 - d))
+    assert first == {
+        "low": (19, 113, 56, 5),
+        "mid": (21, 123, 62, 5),
+        "high_d": (24, 139, 71, 5),
+    }
+    assert 2 * 56 == 113 - 1 and 113 * 56 % 2 == 0
+
+
+def test_unbalanced_vertex_search_has_no_clique_below_27():
+    # _unbalanced_vertex searches with cc = n // 3 - 4
+    assert [n for n in range(1, 100) if n // 3 - 4 < 5] == list(range(1, 27))
+
+
+def _no_matching_means_fan(N: int, n: int, bits: int) -> bool | None:
+    c = Coloring.from_pair_bits(N, bits)
+    if maximum_matching_general(c, BLACK, c.vertex_mask, stop_at=n).size == n:
+        return None
+    return find_mono_fan(c, WHITE, n) is not None
+
+
+def test_lemma_exhaustive_at_n2_cc4():
+    # h = 3n - cc + 4 = 6: every coloring of K_6 without a black 2-matching
+    # (its black edges are a star or a triangle) has a white 2-fan
+    outcomes = [_no_matching_means_fan(6, 2, bits) for bits in range(1 << 15)]
+    assert outcomes.count(False) == 0
+    assert outcomes.count(True) == 192
+
+
+def _split(n: int) -> Coloring:
+    """A black clique X on n - 1 vertices, black to a white clique Y on 2n."""
+    h = 3 * n - 1
+    X = (1 << n - 1) - 1
+    everyone = (1 << h) - 1
+    return Coloring(h, tuple((everyone if v < n - 1 else X) & ~(1 << v) for v in range(h)))
+
+
+def test_lemma_is_tight_at_cc5():
+    # h = 3n - 1: every black edge meets X, so a black matching has at most
+    # n - 1 edges, and a white fan would need 2n + 1 vertices of Y
+    for n in range(2, 9):
+        c = _split(n)
+        assert c.N == 3 * n - 5 + 4
+        assert maximum_matching_general(c, BLACK, c.vertex_mask).size == n - 1
+        assert find_mono_fan(c, WHITE, n) is None
+        assert find_mono_fan(c, BLACK, n) is None

@@ -153,6 +153,31 @@ def test_malformed_certificate_is_usage_error(k46, tmp_path, body):
     assert res.payload["error"] == "precondition"
 
 
+@pytest.mark.parametrize(
+    "body",
+    [
+        '{"color": "white", "center": false, "blades": [[true, 2]], "n_claimed": true}',
+        '{"color": "white", "center": 0, "blades": [[1, 2]], "n_claimed": true}',
+        '{"color": "white", "center": 0, "blades": [[true, 2]], "n_claimed": 1}',
+        '{"color": "white", "center": false, "blades": [[1, 2]], "n_claimed": 1}',
+    ],
+)
+def test_boolean_in_certificate_is_usage_error(tmp_path, body):
+    # bool is an int subclass, so operator.index would read true as 1
+    lb = tmp_path / "lb.2col"
+    assert run(["lowerbound", "--n", "2", "--out", str(lb)]).exit_code == 0
+    cert_path = tmp_path / "cert.json"
+    cert_path.write_text(body)
+    res = run(["verify", "--in", str(lb), "--cert", str(cert_path)])
+    assert res.exit_code == 2
+    assert res.payload["error"] == "precondition"
+    assert "malformed certificate" in res.payload["message"]
+    # the same certificate with integers in place of the booleans is valid
+    cert_path.write_text(body.replace("false", "0").replace("true", "1"))
+    res = run(["verify", "--in", str(lb), "--cert", str(cert_path)])
+    assert res.payload == {"valid": True, "violation": None}
+
+
 def test_verify_rejects_empty_claim(k46, tmp_path):
     cert_path = tmp_path / "cert.json"
     cert_path.write_text(

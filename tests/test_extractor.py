@@ -24,7 +24,7 @@ from fanram.extractor import (
 from fanram.matching import Matching
 from fanram.oracle import adversarial_coloring, random_coloring
 from fanram.structures import CliqueWitness, FanCertificate, verify_fan
-from gadgets import blocker_fixture, circulant, cover_gadget
+from gadgets import blocker_fixture, circulant, cover_gadget, split_fixture
 
 
 def test_min_order_values():
@@ -132,6 +132,22 @@ def test_low_band_dispatch_on_regular_circulant():
     cert, trace = extract_fan(c, 16, mode="faithful")
     assert verify_fan(c, cert)
     assert "low.search" in trace.labels()
+
+
+@pytest.mark.parametrize(
+    "n, d, band", [(20, 59, "low"), (21, 62, "mid"), (24, 71, "high_d")]
+)
+def test_split_fixture_reaches_the_clique_branch(n, d, band):
+    # cc = 3n + 4 - d = 5, the first cc at which find_unavoidable_structure
+    # can return a clique; without the clique search's coloring bound the
+    # n = 20 search walks every subset of the n - 1 black clique X
+    c = split_fixture(n, d)
+    assert c.N == min_order(n)
+    assert {c.degree(v, BLACK) for v in range(c.N)} == {d - 1, d}
+    assert context_of(c, n).d_witness == (0, BLACK)
+    cert, trace = extract_fan(c, n, mode="faithful")
+    assert verify_fan(c, cert)
+    assert trace.labels() == ["context", f"{band}.search", "clique", "cover_fan"]
 
 
 def test_extract_dispatch_follows_d_band():

@@ -8,7 +8,8 @@ keeps the layering: lower modules return witnesses and never take a trace
 or a record sink, only the extractor raises UnreachableBranch, and the
 k-matching question goes to maximum_matching_general from the two
 structure searches alone.  SplitMix64 is spelled once: its constants and
-its per-draw calls appear in rng.py and nowhere else in fanram.
+its per-draw calls appear in rng.py and nowhere else in fanram.  A fan's
+blades are recorded in one place, _FanBuilder.add_edges.
 """
 
 import ast
@@ -143,3 +144,35 @@ def test_splitmix_lives_in_rng(path):
         or isinstance(node, ast.Attribute) and node.attr in ("next_float", "next_u64")
     ]
     assert found == []
+
+
+def _blade_appenders(tree: ast.AST, prefix: str) -> list[str]:
+    """Qualified names of the functions and classes whose own statements
+    call blades.append or <anything>.blades.append."""
+    found = []
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found += _blade_appenders(node, f"{prefix}{node.name}.")
+        elif any(
+            isinstance(n, ast.Call)
+            and isinstance(n.func, ast.Attribute)
+            and n.func.attr == "append"
+            and (
+                isinstance(n.func.value, ast.Attribute) and n.func.value.attr == "blades"
+                or isinstance(n.func.value, ast.Name) and n.func.value.id == "blades"
+            )
+            for n in ast.walk(node)
+        ):
+            found.append(prefix.rstrip("."))
+    return sorted(set(found))
+
+
+def test_blades_are_recorded_in_one_place():
+    # pair_across, pair_within and match_into all feed add_edges, so the
+    # used-vertex mask is kept in step with the blade list in one spot
+    found = [
+        f"{path.name}:{name}"
+        for path in MODULES
+        for name in _blade_appenders(_tree(path), "")
+    ]
+    assert found == ["structures.py:_FanBuilder.add_edges"]

@@ -187,6 +187,33 @@ def test_parse_coloring_sniffs_format(tmp_path):
     assert load_coloring(path) == c
 
 
+@pytest.mark.parametrize("sep", ["\t", "  ", " \t", "\t\t"])
+def test_2col_header_with_any_whitespace_loads(tmp_path, sep):
+    want = parse_2col("p 2col 3\nBBW\n")
+    text = f"p{sep}2col{sep}3\nBBW\n"
+    assert parse_2col(text) == want
+    assert parse_coloring(text) == want
+    path = tmp_path / "tab.2col"
+    path.write_text(text)
+    assert load_coloring(path) == want
+
+
+def test_graph6_starting_with_p_is_graph6():
+    # N = 49 is the size character "p"
+    c = random_coloring(49, 7, 0.5)
+    text = nx.to_graph6_bytes(_black_graph(c), header=False).decode()
+    assert text[0] == "p"
+    assert parse_coloring(text) == c
+
+
+@pytest.mark.parametrize("count", ["1_0", "+3", "-0", "\u0663", "3.0", " 3x"])
+def test_2col_vertex_count_is_ascii_digits(count):
+    text = f"p 2col {count}\nBBW\n"
+    with pytest.raises(ColoringFormatError, match="bad vertex count") as exc:
+        parse_coloring(text)
+    assert exc.value.line == 1
+
+
 def test_write_is_canonical():
     c = Coloring.from_pair_list(
         3, [(0, 1, BLACK), (0, 2, WHITE), (1, 2, BLACK)]

@@ -9,6 +9,7 @@ from bruteforce import (
     brute_clique_exists,
     brute_fan_exists,
     brute_fan_exists_enumerated,
+    reference_clique,
 )
 from fanram.bitset import bit_list, mask_of
 from fanram.coloring import BLACK, WHITE, Coloring
@@ -180,12 +181,39 @@ def test_find_clique_bipartite_triangle_free():
     assert find_clique(c, BLACK, 3, c.vertex_mask) is None
 
 
-@given(colorings(min_n=1, max_n=10), st.integers(1, 5))
-def test_find_clique_matches_bruteforce(c, size):
-    got = find_clique(c, BLACK, size, c.vertex_mask)
-    assert (got is not None) == brute_clique_exists(c, BLACK, size, c.vertex_mask)
+@given(
+    colorings(min_n=1, max_n=12),
+    st.sampled_from([BLACK, WHITE]),
+    st.integers(1, 7),
+    st.one_of(st.just(-1), st.integers(0, (1 << 12) - 1)),  # -1: every vertex
+)
+def test_find_clique_matches_bruteforce(c, col, size, scope):
+    # the coloring bound prunes only subtrees holding no clique of the
+    # target size, so the first clique found is the reference search's
+    scope &= c.vertex_mask
+    got = find_clique(c, col, size, scope)
+    assert (got is not None) == brute_clique_exists(c, col, size, scope)
     if got is not None:
         assert got.size >= size
+    assert (None if got is None else got.members) == reference_clique(
+        c, col, size, scope
+    )
+
+
+def test_find_clique_witness_matches_reference_up_to_40_vertices():
+    rng = random.Random(21)
+    found = 0
+    for seed in range(300):
+        N = rng.randint(8, 40)
+        c = random_coloring(N, seed, rng.choice((0.5, 0.7, 0.9)))
+        scope = rng.getrandbits(N) | rng.getrandbits(N)
+        size = rng.randint(1, 8)
+        for col in (BLACK, WHITE):
+            got = find_clique(c, col, size, scope)
+            want = reference_clique(c, col, size, scope)
+            assert (None if got is None else got.members) == want
+            found += want is not None
+    assert 150 < found < 550
 
 
 def test_find_clique_respects_scope():
