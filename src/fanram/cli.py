@@ -3,8 +3,9 @@
 Subcommands: extract, verify, oracle ramsey, lowerbound, cover, trials.
 Every command prints one JSON document on stdout and human-readable
 diagnostics on stderr.  Exit codes: 0 success, 1 negative verification or
-extraction result, 2 usage or precondition error, 3 an unreachable branch
-fired (bug class).  FANRAM_WORKERS caps the trial worker processes.
+extraction result, 2 usage, precondition or file format error, 3 an
+unreachable branch fired or an InternalError was raised (bug class).
+FANRAM_WORKERS caps the trial worker processes.
 trials and lowerbound refuse to generate a coloring of more than
 MAX_GENERATED_N vertices.
 """

@@ -14,13 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .bitset import bits
-from .errors import (
-    DuplicatePairError,
-    MissingPairError,
-    PreconditionViolated,
-    SelfPairError,
-    VertexRangeError,
-)
+from .errors import PreconditionViolated
 
 
 class Color(Enum):
@@ -103,12 +97,12 @@ class Coloring:
         rows = [0] * N
         for u, v, color in pairs:
             if u == v:
-                raise SelfPairError(f"self-pair ({u},{v})")
+                raise PreconditionViolated(f"self-pair ({u},{v})")
             if not (0 <= u < N and 0 <= v < N):
-                raise VertexRangeError(f"pair ({u},{v}) out of range for N={N}")
+                raise PreconditionViolated(f"pair ({u},{v}) out of range for N={N}")
             key = (u, v) if u < v else (v, u)
             if key in seen:
-                raise DuplicatePairError(f"pair {key} given twice")
+                raise PreconditionViolated(f"pair {key} given twice")
             seen.add(key)
             if color is BLACK:
                 rows[key[0]] |= 1 << key[1]
@@ -118,7 +112,7 @@ class Coloring:
                 )
         if len(seen) != N * (N - 1) // 2:
             missing = min({(u, v) for u in range(N) for v in range(u + 1, N)} - seen)
-            raise MissingPairError(f"pair {missing} missing")
+            raise PreconditionViolated(f"pair {missing} missing")
         return cls._from_digits(N, _upper_digits(rows))
 
     @classmethod
@@ -152,15 +146,15 @@ class Coloring:
 
     def pair_color(self, u: int, v: int) -> Color:
         if u == v:
-            raise SelfPairError(f"no color for self-pair ({u},{v})")
+            raise PreconditionViolated(f"no color for self-pair ({u},{v})")
         if not (0 <= u < self.N and 0 <= v < self.N):
-            raise VertexRangeError(f"pair ({u},{v}) out of range")
+            raise PreconditionViolated(f"pair ({u},{v}) out of range")
         return BLACK if self._black[u] >> v & 1 else WHITE
 
     def neighborhood(self, v: int, color: Color) -> int:
         """Bitmask of vertices joined to v by a pair of the given color."""
         if not 0 <= v < self.N:
-            raise VertexRangeError(f"vertex {v} out of range")
+            raise PreconditionViolated(f"vertex {v} out of range")
         if color is BLACK:
             return self._black[v]
         return self.vertex_mask & ~self._black[v] & ~(1 << v)

@@ -310,7 +310,3 @@ def cover_violation(
     if rec.t < kmax:
         return f"|A|={size_a} forces t >= {kmax} but t={rec.t}"
     return None
-
-
-def check_cover_invariants(c: Coloring, rec: CoverRecord, n: int) -> bool:
-    return cover_violation(c, rec, n) is None

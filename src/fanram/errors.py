@@ -1,4 +1,11 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, one class per kind of fault.
+
+The caller's faults are PreconditionViolated (a call outside its contract)
+and ColoringFormatError (a malformed coloring file): CLI exit 2.  A bug's
+are InternalError (an asserted invariant, such as the self-check on a
+built witness, failed) and UnreachableBranch (a counting step the paper
+rules out fired): CLI exit 3.
+"""
 
 from __future__ import annotations
 
@@ -11,22 +18,6 @@ class PreconditionViolated(FanRamseyError, ValueError):
     """An operation was called outside its stated contract."""
 
 
-class SelfPairError(PreconditionViolated):
-    pass
-
-
-class VertexRangeError(PreconditionViolated):
-    pass
-
-
-class DuplicatePairError(PreconditionViolated):
-    pass
-
-
-class MissingPairError(PreconditionViolated):
-    pass
-
-
 class ColoringFormatError(FanRamseyError, ValueError):
     """Malformed coloring file.  Carries 1-based line and 0-based offset."""
 
@@ -34,18 +25,6 @@ class ColoringFormatError(FanRamseyError, ValueError):
         super().__init__(f"{message} (line {line}, offset {offset})")
         self.line = line
         self.offset = offset
-
-
-class StructureSearchFailure(FanRamseyError):
-    """The guaranteed-success structure search found nothing.
-
-    Never expected on inputs meeting the precondition; signals an
-    implementation bug or a violated precondition.
-    """
-
-
-class ConstructionFailure(FanRamseyError):
-    """A guaranteed fan construction fell short.  Signals a bug."""
 
 
 class InternalError(FanRamseyError):

@@ -1,9 +1,9 @@
 """Reading and writing colorings.
 
-Native format ".2col": line 1 is ``p 2col N``; the rest of the file is
-exactly N(N-1)/2 characters ``B``/``W`` separated by arbitrary whitespace,
-in canonical pair order (0,1), (0,2), ..., (0,N-1), (1,2), ...  Written
-out, line u+2 is vertex u's upper-neighbour row.
+Native format ".2col": the first non-blank line is ``p 2col N``; the rest
+of the file is exactly N(N-1)/2 characters ``B``/``W`` separated by
+arbitrary whitespace, in canonical pair order (0,1), (0,2), ..., (0,N-1),
+(1,2), ...  Written out, line u+2 is vertex u's upper-neighbour row.
 
 Standard graph6 is also accepted for the black subgraph; the white pairs
 are the complement.  Its column v is vertex v's lower-neighbour row.
@@ -42,23 +42,27 @@ def parse_2col(text: str) -> Coloring:
     lines = text.splitlines()
     if not lines:
         raise ColoringFormatError("empty file", line=1)
-    header = lines[0].split()
+    # the header is the first non-blank line, as parse_coloring sniffs it;
+    # body is its 1-based line number, so lines[body:] is the body and
+    # error line numbers still count every line of the text
+    body = next((i for i, line in enumerate(lines, 1) if line.strip()), 1)
+    header = lines[body - 1].split()
     if len(header) != 3 or header[0] != "p" or header[1] != "2col":
-        raise ColoringFormatError("expected header 'p 2col N'", line=1)
+        raise ColoringFormatError("expected header 'p 2col N'", line=body)
     # int() alone would also take "1_0", "+3" and non-ASCII digits
     if not (header[2].isascii() and header[2].isdigit()):
-        raise ColoringFormatError(f"bad vertex count {header[2]!r}", line=1)
+        raise ColoringFormatError(f"bad vertex count {header[2]!r}", line=body)
     N = int(header[2])
     if N < 1:
-        raise ColoringFormatError(f"bad vertex count {N}", line=1)
+        raise ColoringFormatError(f"bad vertex count {N}", line=body)
 
     need = N * (N - 1) // 2
-    entries = "".join("".join(lines[1:]).split())
+    entries = "".join("".join(lines[body:]).split())
     k = len(entries)
     # a non-ASCII character, even a lone surrogate, is encoded as "?"
     letters = entries.encode("ascii", "replace")
     if letters.translate(None, b"BW") or k > need:
-        raise _first_fault(lines, need)
+        raise _first_fault(lines, body, need)
     if k < need:
         u, v = _pair_at(N, k)
         raise ColoringFormatError(
@@ -69,10 +73,11 @@ def parse_2col(text: str) -> Coloring:
     return Coloring.from_pair_bits(N, int(letters[::-1].translate(_TO_BITS) or b"0", 2))
 
 
-def _first_fault(lines: list[str], need: int) -> ColoringFormatError:
-    """The error at the body's first bad character or surplus entry."""
+def _first_fault(lines: list[str], body: int, need: int) -> ColoringFormatError:
+    """The error at the first bad character or surplus entry of the body,
+    which starts at lines[body]."""
     k = 0
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in enumerate(lines[body:], start=body + 1):
         for offset, ch in enumerate(line):
             if ch.isspace():
                 continue

@@ -17,7 +17,7 @@ from operator import index
 
 from .bitset import bits, lowest
 from .coloring import Color, Coloring
-from .errors import ConstructionFailure, PreconditionViolated, StructureSearchFailure
+from .errors import InternalError, PreconditionViolated
 from .matching import (
     Matching,
     _closure,
@@ -148,7 +148,7 @@ def fan_from_clique(c: Coloring, w: CliqueWitness, n: int) -> FanCertificate:
 def _must_verify(c: Coloring, cert: FanCertificate) -> FanCertificate:
     violation = fan_violation(c, cert)
     if violation is not None:
-        raise ConstructionFailure(f"built an invalid fan: {violation}")
+        raise InternalError(f"built an invalid fan: {violation}")
     return cert
 
 
@@ -308,7 +308,7 @@ def find_clique(
     w = CliqueWitness(col, found)
     violation = clique_violation(c, w)
     if violation is not None:
-        raise ConstructionFailure(f"clique search produced a non-clique: {violation}")
+        raise InternalError(f"clique search produced a non-clique: {violation}")
     return w
 
 
@@ -325,8 +325,8 @@ def find_unavoidable_structure(
     CliqueWitness).
 
     At these sizes at least one of the four always exists, so exhausting
-    all four raises StructureSearchFailure, which indicates a bug or a
-    violated precondition rather than a legitimate outcome.
+    all four raises InternalError, which signals a bug rather than a
+    legitimate outcome.
     """
     if not (0 < cc < Fraction(5 * n, 8)):
         raise PreconditionViolated(f"cc={cc} outside (0, 5n/8) for n={n}")
@@ -352,7 +352,7 @@ def find_unavoidable_structure(
     if clique is not None:
         return "complement_clique", clique
 
-    raise StructureSearchFailure(
+    raise InternalError(
         f"no structure found in scope of {scope.bit_count()} vertices "
         f"(n={n}, cc={cc}); this should be impossible"
     )
@@ -401,10 +401,10 @@ def split_graph_fan(c: Coloring, col: Color, A: int, B: int) -> FanCertificate:
 
     U = max_deficiency_certificate(c, mp, X, Y).S
     if not U:
-        raise ConstructionFailure("matching branch short yet no Hall violator")
+        raise InternalError("matching branch short yet no Hall violator")
     fb = _FanBuilder(c, opp, lowest(U))
     fb.pair_across(A & ~_closure(c, col, U), U)
     fb.pair_within(B)
     if fb.count() < target:
-        raise ConstructionFailure(f"violator branch yields {fb.count()} < {target} blades")
+        raise InternalError(f"violator branch yields {fb.count()} < {target} blades")
     return _must_verify(c, FanCertificate(opp, fb.center, tuple(fb.blades), target))

@@ -20,11 +20,11 @@ from fanram.coloring import BLACK, WHITE, Coloring
 from fanram.covering import (
     CoverRecord,
     build_sc,
-    check_cover_invariants,
     compute_cover,
+    cover_violation,
     sc_violation,
 )
-from fanram.errors import ConstructionFailure, StructureSearchFailure, UnreachableBranch
+from fanram.errors import InternalError, UnreachableBranch
 from fanram.extractor import extract_fan, min_order
 from fanram.matching import (
     bipartite_maximum_matching,
@@ -163,7 +163,7 @@ def test_criterion_6_split_graph_fan_bound():
         B = ((1 << k) - 1) << k
         try:
             cert = split_graph_fan(c, BLACK, A, B)
-        except ConstructionFailure:
+        except InternalError:
             failures += 1
             continue
         assert verify_fan(c, cert), f"seed {seed}"
@@ -188,7 +188,7 @@ def test_criterion_7_unavoidable_structure_search():
         c = random_coloring(size, seed, (0.15, 0.5, 0.85)[seed % 3])
         try:
             kind, w = find_unavoidable_structure(c, BLACK, c.vertex_mask, n, cc)
-        except StructureSearchFailure:
+        except InternalError:
             failures += 1
             continue
         if kind == "matching":
@@ -270,7 +270,7 @@ def test_criterion_9_covering_invariants(corpus):
         for coloring, cover in r.get("records", []):
             cover_count += 1
             sc_count += cover.t
-            if not check_cover_invariants(coloring, cover, r["n"]):
+            if cover_violation(coloring, cover, r["n"]) is not None:
                 violations += 1
     # engineered instances keep the check non-vacuous: the corpus at small
     # n resolves inside the high-degree case without building covers; each
@@ -282,7 +282,7 @@ def test_criterion_9_covering_invariants(corpus):
         out = compute_cover(c, A, n)
         assert isinstance(out, CoverRecord)
         extra_cover += 1
-        if not check_cover_invariants(c, out, n):
+        if cover_violation(c, out, n) is not None:
             violations += 1
         for v in bits(A.members):
             rec = build_sc(c, A, v, n)

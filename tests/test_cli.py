@@ -367,6 +367,20 @@ def test_unreachable_branch_maps_to_exit_3(k46, monkeypatch):
     assert "report" in res.diagnostics
 
 
+def test_internal_error_maps_to_exit_3(k46, monkeypatch):
+    import fanram.cli as cli
+    from fanram.errors import InternalError
+
+    def boom(*args, **kwargs):
+        raise InternalError("boom")
+
+    monkeypatch.setattr(cli, "extract_fan", boom)
+    res = run(["extract", "--in", k46, "--n", "6"])
+    assert res.exit_code == 3
+    assert res.payload == {"error": "InternalError", "message": "boom"}
+    assert res.diagnostics == "bug-class failure; please report the input"
+
+
 def test_trial_exception_fails_one_task_not_the_batch(monkeypatch):
     import fanram.cli as cli
 

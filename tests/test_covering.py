@@ -9,7 +9,6 @@ from fanram.coloring import BLACK, WHITE, Coloring
 from fanram.covering import (
     CoverRecord,
     build_sc,
-    check_cover_invariants,
     compute_cover,
     cover_violation,
     sc_violation,
@@ -296,7 +295,7 @@ def test_compute_cover_gadget_t4():
     for v, rec in out.sequence:
         assert rec.C == 0b111 << (v // 3 * 3)
         assert rec.S.bit_count() == 16
-    assert check_cover_invariants(c, out, 11)
+    assert cover_violation(c, out, 11) is None
 
 
 def test_compute_cover_threshold_t3():
@@ -306,7 +305,7 @@ def test_compute_cover_threshold_t3():
     out = compute_cover(c, A, 6)
     assert isinstance(out, CoverRecord)
     assert out.t >= 3
-    assert check_cover_invariants(c, out, 6)
+    assert cover_violation(c, out, 6) is None
 
 
 def test_compute_cover_contact_cap():
@@ -316,7 +315,7 @@ def test_compute_cover_contact_cap():
     assert isinstance(out, CoverRecord)
     for _, rec in out.sequence:
         assert rec.C.bit_count() <= 3
-    assert check_cover_invariants(c, out, 5)
+    assert cover_violation(c, out, 5) is None
 
 
 def test_compute_cover_propagates_fan():
@@ -360,23 +359,24 @@ def test_compute_cover_rejects_a_non_clique_witness():
 def test_cover_invariants_reject_mutations():
     c, A = cover_gadget(4, 3, 8, 11)
     rec = compute_cover(c, A, 11)
-    assert check_cover_invariants(c, rec, 11)
+    assert cover_violation(c, rec, 11) is None
 
     # move one shadow vertex into another record's shadow
     (v1, r1), (v2, r2) = rec.sequence[0], rec.sequence[1]
     moved = lowest(r1.S)
     r2_bad = replace(r2, S=r2.S | 1 << moved)
     seq = (rec.sequence[0], (v2, r2_bad)) + rec.sequence[2:]
-    assert not check_cover_invariants(c, CoverRecord(rec.A, rec.t, seq), 11)
+    assert cover_violation(c, CoverRecord(rec.A, rec.t, seq), 11) is not None
 
     # truncate a contact set so coverage fails
     r1_bad = replace(r1, C=r1.C & ~(1 << lowest(r1.C & ~(1 << v1))))
     seq = ((v1, r1_bad),) + rec.sequence[1:]
-    assert not check_cover_invariants(c, CoverRecord(rec.A, rec.t, seq), 11)
+    assert cover_violation(c, CoverRecord(rec.A, rec.t, seq), 11) is not None
 
     # drop a whole step
-    assert not check_cover_invariants(
-        c, CoverRecord(rec.A, rec.t - 1, rec.sequence[:-1]), 11
+    assert (
+        cover_violation(c, CoverRecord(rec.A, rec.t - 1, rec.sequence[:-1]), 11)
+        is not None
     )
 
 

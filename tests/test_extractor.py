@@ -1,6 +1,7 @@
 import json
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -21,6 +22,7 @@ from fanram.extractor import (
     extract_fan,
     min_order,
 )
+from fanram.io import load_coloring, write_2col
 from fanram.matching import Matching
 from fanram.oracle import adversarial_coloring, random_coloring
 from fanram.structures import CliqueWitness, FanCertificate, verify_fan
@@ -148,6 +150,22 @@ def test_split_fixture_reaches_the_clique_branch(n, d, band):
     cert, trace = extract_fan(c, n, mode="faithful")
     assert verify_fan(c, cert)
     assert trace.labels() == ["context", f"{band}.search", "clique", "cover_fan"]
+
+
+DATA = Path(__file__).resolve().parent / "data"
+
+
+@pytest.mark.parametrize("n, d", [(20, 59), (21, 62), (24, 71)])
+def test_frozen_split_fixture_files(n, d):
+    # the only digest over the clique and cover_fan steps: the .2col file
+    # is the fixture's text, and its faithful extraction is the frozen
+    # certificate and trace, byte for byte
+    stem = DATA / f"split_{n}_{d}"
+    path = stem.with_suffix(".2col")
+    assert write_2col(split_fixture(n, d)).encode() == path.read_bytes()
+    cert, trace = extract_fan(load_coloring(path), n, "faithful")
+    assert cert.to_json().encode() == stem.with_suffix(".cert.json").read_bytes()
+    assert trace.to_json().encode() == stem.with_suffix(".trace.json").read_bytes()
 
 
 def test_extract_dispatch_follows_d_band():

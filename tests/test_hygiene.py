@@ -9,7 +9,8 @@ or a record sink, only the extractor raises UnreachableBranch, and the
 k-matching question goes to maximum_matching_general from the two
 structure searches alone.  SplitMix64 is spelled once: its constants and
 its per-draw calls appear in rng.py and nowhere else in fanram.  A fan's
-blades are recorded in one place, _FanBuilder.add_edges.
+blades are recorded in one place, _FanBuilder.add_edges.  errors.py has
+one class per kind of fault and nothing else.
 """
 
 import ast
@@ -176,3 +177,20 @@ def test_blades_are_recorded_in_one_place():
         for name in _blade_appenders(_tree(path), "")
     ]
     assert found == ["structures.py:_FanBuilder.add_edges"]
+
+
+ERROR_CLASSES = {
+    "FanRamseyError",
+    "PreconditionViolated",
+    "ColoringFormatError",
+    "InternalError",
+    "UnreachableBranch",
+}
+
+
+def test_one_error_class_per_kind_of_fault():
+    # the CLI maps each kind to one exit code; a subclass no caller catches
+    # apart from its parent is a name to keep in step for nothing
+    tree = _tree(SRC / "errors.py")
+    defined = {node.name for node in tree.body if isinstance(node, ast.ClassDef)}
+    assert defined == ERROR_CLASSES

@@ -61,6 +61,11 @@ def test_2col_header_errors():
         parse_2col("q 2col 3\nBBB")
     with pytest.raises(ColoringFormatError):
         parse_2col("p 2col x\nBBB")
+    # a text with no non-blank line has no header to find
+    for text in ("\n\n", "   ", " \n\t\n"):
+        with pytest.raises(ColoringFormatError) as exc:
+            parse_2col(text)
+        assert str(exc.value) == "expected header 'p 2col N' (line 1, offset 0)"
 
 
 def test_2col_bad_character_position():
@@ -196,6 +201,38 @@ def test_2col_header_with_any_whitespace_loads(tmp_path, sep):
     path = tmp_path / "tab.2col"
     path.write_text(text)
     assert load_coloring(path) == want
+
+
+@pytest.mark.parametrize("lead", ["\n", " \n ", "\n\n\t", "  "])
+def test_2col_header_after_blank_lines_loads(tmp_path, lead):
+    # parse_coloring sniffs past leading whitespace, so parse_2col must
+    # find the header there too
+    want = parse_2col("p 2col 3\nBBW\n")
+    text = f"{lead}p 2col 3\nBBW\n"
+    assert parse_coloring(text) == want
+    path = tmp_path / "lead.2col"
+    path.write_text(text)
+    assert load_coloring(path) == want
+
+
+@pytest.mark.parametrize(
+    "text, message, line, offset",
+    [
+        ("\np 2col 3\nBXW\n", "unexpected character 'X'", 3, 1),
+        (" \n p 2col 3\nBBWB\n", "more than 3 pair entries", 3, 3),
+        ("\n\np 2col 3\nBB\n", "only 2 of 3 pair entries", 4, 0),
+        ("\np 2col 3x\nBBW\n", "bad vertex count '3x'", 2, 0),
+    ],
+)
+def test_2col_error_lines_count_leading_blank_lines(
+    tmp_path, text, message, line, offset
+):
+    path = tmp_path / "lead.2col"
+    path.write_text(text)
+    for read in (parse_coloring, lambda _: load_coloring(path)):
+        with pytest.raises(ColoringFormatError, match=message) as exc:
+            read(text)
+        assert (exc.value.line, exc.value.offset) == (line, offset)
 
 
 def test_graph6_starting_with_p_is_graph6():
