@@ -7,7 +7,8 @@ extraction result, 2 usage, precondition or file format error, 3 an
 unreachable branch fired or an InternalError was raised (bug class).
 FANRAM_WORKERS caps the trial worker processes.
 trials and lowerbound refuse to generate a coloring of more than
-MAX_GENERATED_N vertices.
+MAX_GENERATED_N vertices, and an integer flag of more than MAX_FLAG_DIGITS
+digits is a usage error.
 """
 
 from __future__ import annotations
@@ -71,6 +72,20 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+# every 64-bit seed fits, and no message that formats a flag's value, or
+# a count derived from it, reaches Python's 4300-digit int-string limit
+MAX_FLAG_DIGITS = 20
+
+
+def _int_flag(text: str) -> int:
+    if sum(ch.isdigit() for ch in text) > MAX_FLAG_DIGITS:
+        raise argparse.ArgumentTypeError(f"more than {MAX_FLAG_DIGITS} digits")
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
 @functools.cache
 def _build_parser() -> _Parser:
     """Built once per process; parse_args returns a fresh namespace each call."""
@@ -79,7 +94,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("extract", help="extract a verified fan certificate")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int_flag, required=True)
     p.add_argument("--mode", choices=["fast", "faithful"], default="fast")
     p.add_argument("--trace", dest="tracefile")
 
@@ -90,23 +105,23 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("oracle", help="exhaustive ground-truth checks")
     osub = p.add_subparsers(dest="oracle_command", required=True)
     p2 = osub.add_parser("ramsey", help="exhaustive fan check over all colorings")
-    p2.add_argument("--N", type=int, required=True)
-    p2.add_argument("--n", type=int, required=True)
+    p2.add_argument("--N", type=_int_flag, required=True)
+    p2.add_argument("--n", type=_int_flag, required=True)
 
     p = sub.add_parser("lowerbound", help="write the fan-free bipartite coloring")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int_flag, required=True)
     p.add_argument("--out", dest="outfile")
 
     p = sub.add_parser("cover", help="greedy cover of a monochromatic clique")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--clique", required=True, help="comma-separated vertices")
     p.add_argument("--color", choices=["B", "W"], required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int_flag, required=True)
 
     p = sub.add_parser("trials", help="batch extractions with branch coverage")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--count", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--n", type=_int_flag, required=True)
+    p.add_argument("--count", type=_int_flag, required=True)
+    p.add_argument("--seed", type=_int_flag, default=0)
     p.add_argument("--family", choices=["random", *ADVERSARIAL_KINDS])
     return parser
 
@@ -156,10 +171,13 @@ def _cmd_extract(args) -> CommandResult:
 def _cmd_verify(args) -> CommandResult:
     coloring = load_coloring(args.infile)
     with open(args.cert, "r", encoding="ascii", errors="replace") as fh:
+        # a JSONDecodeError, an integer past Python's digit limit or
+        # nesting past the recursion limit
         try:
-            cert = FanCertificate.from_json_dict(json.load(fh))
-        except json.JSONDecodeError as exc:
+            doc = json.load(fh)
+        except (ValueError, RecursionError) as exc:
             raise PreconditionViolated(f"certificate is not JSON: {exc}") from None
+    cert = FanCertificate.from_json_dict(doc)
     violation = fan_violation(coloring, cert)
     payload = {"valid": violation is None, "violation": violation}
     return CommandResult(EXIT_OK if violation is None else EXIT_NEGATIVE, payload)

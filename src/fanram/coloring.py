@@ -89,33 +89,6 @@ class Coloring:
         return cls._raw(N, tuple(int(span, 2) for span in spans)[::-1])
 
     @classmethod
-    def from_pair_list(cls, N: int, pairs) -> "Coloring":
-        """Build from an explicit (u, v, Color) list covering every pair once."""
-        if N < 1:
-            raise PreconditionViolated(f"need at least one vertex, got N={N}")
-        seen = set()
-        rows = [0] * N
-        for u, v, color in pairs:
-            if u == v:
-                raise PreconditionViolated(f"self-pair ({u},{v})")
-            if not (0 <= u < N and 0 <= v < N):
-                raise PreconditionViolated(f"pair ({u},{v}) out of range for N={N}")
-            key = (u, v) if u < v else (v, u)
-            if key in seen:
-                raise PreconditionViolated(f"pair {key} given twice")
-            seen.add(key)
-            if color is BLACK:
-                rows[key[0]] |= 1 << key[1]
-            elif color is not WHITE:
-                raise PreconditionViolated(
-                    f"pair {key} has color {color!r}, not BLACK or WHITE"
-                )
-        if len(seen) != N * (N - 1) // 2:
-            missing = min({(u, v) for u in range(N) for v in range(u + 1, N)} - seen)
-            raise PreconditionViolated(f"pair {missing} missing")
-        return cls._from_digits(N, _upper_digits(rows))
-
-    @classmethod
     def from_pair_bits(cls, N: int, black_bits: int) -> "Coloring":
         """Build from an int whose bit k says pair k (canonical order) is black.
 
@@ -194,15 +167,11 @@ class Context:
     witness is the lowest vertex attaining d, black checked before white.
     """
 
-    n: int
-    N: int
     d: int
     d_witness: tuple[int, Color]
 
 
-def context_of(c: Coloring, n: int) -> Context:
-    if n < 1:
-        raise PreconditionViolated(f"fan parameter must be >= 1, got {n}")
+def context_of(c: Coloring) -> Context:
     best = -1
     witness = (0, BLACK)
     others = c.N - 1
@@ -212,4 +181,4 @@ def context_of(c: Coloring, n: int) -> Context:
             best, witness = black, (v, BLACK)
         if others - black > best:
             best, witness = others - black, (v, WHITE)
-    return Context(n=n, N=c.N, d=best, d_witness=witness)
+    return Context(d=best, d_witness=witness)

@@ -139,8 +139,7 @@ def extract_fan(
     """Extract a verified monochromatic fan with n blades.
 
     Requires N >= floor(31n/6) + 15.  fast mode scans for any fan per
-    color before falling back to the case analysis; faithful mode runs
-    the case analysis directly.
+    color; faithful mode runs the case analysis.
     """
     if n < 1:
         raise PreconditionViolated(f"fan parameter must be >= 1, got {n}")
@@ -153,18 +152,17 @@ def extract_fan(
         )
     trace = ExtractionTrace(n=n, N=c.N, mode=mode)
 
-    cert: FanCertificate | None = None
-    if mode == "fast":
-        for col in (BLACK, WHITE):
-            found = find_mono_fan(c, col, n)
-            if found is not None:
-                trace.record("fast", color=col.value, center=found.center)
-                cert = found
-                break
-        if cert is None:
-            trace.record("fast_fallback")
-    if cert is None:
+    if mode == "faithful":
         cert = _faithful(c, n, trace)
+    else:
+        for col in (BLACK, WHITE):
+            cert = find_mono_fan(c, col, n)
+            if cert is not None:
+                trace.record("fast", color=col.value, center=cert.center)
+                break
+        else:
+            # find_mono_fan is exact and N >= min_order(n) holds a fan
+            raise UnreachableBranch("fast.no_fan", N=c.N, n=n)
 
     violation = fan_violation(c, cert)
     if violation is not None:
@@ -174,7 +172,7 @@ def extract_fan(
 
 
 def _faithful(c: Coloring, n: int, trace: ExtractionTrace) -> FanCertificate:
-    ctx = context_of(c, n)
+    ctx = context_of(c)
     w, col = ctx.d_witness
     trace.record("context", d=ctx.d, witness=w, witness_color=col.value)
     cw = c if col is BLACK else c.swap_colors()

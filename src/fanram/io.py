@@ -49,8 +49,9 @@ def parse_2col(text: str) -> Coloring:
     header = lines[body - 1].split()
     if len(header) != 3 or header[0] != "p" or header[1] != "2col":
         raise ColoringFormatError("expected header 'p 2col N'", line=body)
-    # int() alone would also take "1_0", "+3" and non-ASCII digits
-    if not (header[2].isascii() and header[2].isdigit()):
+    # int() alone would also take "1_0", "+3" and non-ASCII digits; past
+    # 20 digits the pair count would pass Python's int-string limit
+    if not (header[2].isascii() and header[2].isdigit()) or len(header[2]) > 20:
         raise ColoringFormatError(f"bad vertex count {header[2]!r}", line=body)
     N = int(header[2])
     if N < 1:

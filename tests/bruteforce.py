@@ -3,7 +3,8 @@
 Nothing here shares code with the package's search algorithms: matchings
 are found by exhaustive recursion over vertex masks, deficiencies by
 subset dynamic programming, fans and cliques by direct enumeration,
-seeded colorings by deciding one pair per SplitMix64 draw, and graph6
+seeded colorings by deciding one pair per SplitMix64 draw and setting
+both rows of each black pair for the checked constructor, and graph6
 text by writing one digit per pair.  reference_clique is the clique
 search as it stood before its coloring bound, kept as the witness the
 bounded search must reproduce.
@@ -139,11 +140,23 @@ def reference_clique(c: Coloring, col, size: int, scope: int) -> int | None:
     return None if found is None else sum(1 << v for v in found)
 
 
+def coloring_from_pairs(N: int, pairs) -> Coloring:
+    """The coloring whose black pairs are the (u, v, BLACK) triples of
+    pairs; every other pair is white.  Nothing is checked here: Coloring()
+    checks the rows."""
+    rows = [0] * N
+    for u, v, color in pairs:
+        if color is BLACK:
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
+    return Coloring(N, tuple(rows))
+
+
 def _per_pair(N: int, seed: int, black) -> Coloring:
     """Pair (u, v) is black iff black(u, v, roll), where roll is the next
     draw, one per pair in canonical order."""
     rng = SplitMix64(seed)
-    return Coloring.from_pair_list(
+    return coloring_from_pairs(
         N,
         [
             (u, v, BLACK if black(u, v, rng.next_float()) else WHITE)

@@ -154,6 +154,72 @@ def test_malformed_certificate_is_usage_error(k46, tmp_path, body):
 
 
 @pytest.mark.parametrize(
+    "body, reason",
+    [
+        ("[" * 100_000, "maximum recursion depth exceeded"),
+        (
+            '{"color": "black", "center": ' + "9" * 5000 + ', "blades": [], "n_claimed": 1}',
+            "Exceeds the limit",
+        ),
+    ],
+    ids=["nested", "long-int"],
+)
+def test_unreadable_certificate_is_usage_error(tmp_path, body, reason):
+    lb = tmp_path / "lb.2col"
+    assert run(["lowerbound", "--n", "2", "--out", str(lb)]).exit_code == 0
+    cert_path = tmp_path / "cert.json"
+    cert_path.write_text(body)
+    res = run(["verify", "--in", str(lb), "--cert", str(cert_path)])
+    assert res.exit_code == 2
+    assert res.payload["error"] == "precondition"
+    assert res.payload["message"].startswith("certificate is not JSON: " + reason)
+
+
+def test_huge_2col_header_count_is_format_error(tmp_path):
+    path = tmp_path / "hostile.2col"
+    path.write_text("p 2col " + "9" * 5000 + "\nB\n")
+    res = run(["extract", "--in", str(path), "--n", "1"])
+    assert res.exit_code == 2
+    assert res.payload["error"] == "format"
+    assert res.payload["message"].startswith("bad vertex count '999")
+    assert (res.payload["line"], res.payload["offset"]) == (1, 0)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["extract", "--in", "unread.2col", "--n"],
+        ["trials", "--count", "1", "--n"],
+        ["lowerbound", "--n"],
+        ["oracle", "ramsey", "--n", "1", "--N"],
+        ["trials", "--n", "1", "--count", "1", "--seed"],
+    ],
+    ids=["extract", "trials", "lowerbound", "oracle", "seed"],
+)
+def test_overlong_integer_flag_is_usage_error(argv):
+    # 4300 digits pass int() but not the messages that format 4n or N
+    flag = argv[-1]
+    for value in ("9" * 4300, "1" + "0" * 20, "-" + "9" * 21):
+        res = run([*argv, value])
+        assert res.exit_code == 2
+        assert res.payload == {
+            "error": "usage",
+            "message": f"argument {flag}: more than 20 digits",
+        }
+
+
+def test_integer_flags_take_every_64_bit_seed():
+    import fanram.cli as cli
+
+    parser = cli._build_parser()
+    for seed in (2**64 - 1, -(2**64 - 1), 10**20 - 1):
+        args = parser.parse_args(["trials", "--n", "1", "--count", "1", "--seed", str(seed)])
+        assert args.seed == seed
+    res = run(["lowerbound", "--n", "x"])
+    assert res.payload["message"] == "argument --n: invalid int value: 'x'"
+
+
+@pytest.mark.parametrize(
     "body",
     [
         '{"color": "white", "center": false, "blades": [[true, 2]], "n_claimed": true}',
@@ -379,6 +445,14 @@ def test_internal_error_maps_to_exit_3(k46, monkeypatch):
     assert res.exit_code == 3
     assert res.payload == {"error": "InternalError", "message": "boom"}
     assert res.diagnostics == "bug-class failure; please report the input"
+
+
+def test_fast_mode_without_a_fan_is_unreachable(k46, monkeypatch):
+    monkeypatch.setattr("fanram.extractor.find_mono_fan", lambda *a, **k: None)
+    res = run(["extract", "--in", k46, "--n", "6"])
+    assert res.exit_code == 3
+    assert res.payload["error"] == "unreachable_branch"
+    assert res.payload["label"] == "fast.no_fan"
 
 
 def test_trial_exception_fails_one_task_not_the_batch(monkeypatch):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bruteforce import brute_graph6
+from bruteforce import brute_graph6, coloring_from_pairs
 from fanram.bitset import bit_list, mask_of
 from fanram.coloring import BLACK, WHITE, Color, Coloring, context_of
 from fanram.errors import PreconditionViolated
@@ -25,38 +25,6 @@ def test_color_swap_involution():
         assert col.swap().swap() is col
 
 
-def test_from_pair_list_single_pair():
-    c = Coloring.from_pair_list(2, [(0, 1, BLACK)])
-    assert c.degree(0, BLACK) == 1
-    assert c.pair_color(0, 1) is BLACK
-
-
-def test_from_pair_list_missing_pair():
-    with pytest.raises(PreconditionViolated, match=r"pair \(1, 2\) missing"):
-        Coloring.from_pair_list(3, [(0, 1, BLACK), (0, 2, WHITE)])
-
-
-def test_from_pair_list_all_black_k4():
-    pairs = [(u, v, BLACK) for u in range(4) for v in range(u + 1, 4)]
-    c = Coloring.from_pair_list(4, pairs)
-    assert all(c.degree(v, BLACK) == 3 for v in range(4))
-
-
-def test_from_pair_list_errors():
-    with pytest.raises(PreconditionViolated, match=r"self-pair \(1,1\)"):
-        Coloring.from_pair_list(2, [(1, 1, BLACK)])
-    with pytest.raises(PreconditionViolated, match=r"pair \(0,2\) out of range"):
-        Coloring.from_pair_list(2, [(0, 2, BLACK)])
-    with pytest.raises(PreconditionViolated, match=r"pair \(0, 1\) given twice"):
-        Coloring.from_pair_list(2, [(0, 1, BLACK), (1, 0, WHITE)])
-
-
-def test_from_pair_list_rejects_non_color():
-    for color in ("black", True, None):
-        with pytest.raises(PreconditionViolated, match=r"pair \(0, 1\)"):
-            Coloring.from_pair_list(2, [(0, 1, color)])
-
-
 def test_from_pair_bits_needs_a_vertex():
     for N in (0, -3):
         with pytest.raises(PreconditionViolated, match="at least one vertex"):
@@ -64,7 +32,7 @@ def test_from_pair_bits_needs_a_vertex():
 
 
 def test_single_vertex_coloring_is_legal():
-    c = Coloring.from_pair_list(1, [])
+    c = coloring_from_pairs(1, [])
     assert c.N == 1
     assert c.degree(0, BLACK) == 0 and c.degree(0, WHITE) == 0
 
@@ -108,7 +76,7 @@ def _bipartite_black(parts_a, parts_b, N):
         for v in range(u + 1, N):
             col = BLACK if ((u in a) != (v in a)) else WHITE
             pairs.append((u, v, col))
-    return Coloring.from_pair_list(N, pairs)
+    return coloring_from_pairs(N, pairs)
 
 
 def test_neighborhood_examples():
@@ -125,17 +93,17 @@ def test_neighborhood_range_error():
 
 
 def test_context_all_black_k7():
-    ctx = context_of(Coloring.complete(7, BLACK), 1)
+    ctx = context_of(Coloring.complete(7, BLACK))
     assert ctx.d == 6
     assert ctx.d_witness == (0, BLACK)
 
 
 def test_context_bipartite_k44():
     c = _bipartite_black(range(4), range(4, 8), 8)
-    ctx = context_of(c, 2)
+    ctx = context_of(c)
     assert ctx.d == 4
     assert ctx.d_witness == (0, BLACK)
-    assert 2 * ctx.d >= ctx.N - 1
+    assert 2 * ctx.d >= c.N - 1
 
 
 @given(colorings(min_n=2, max_n=10))
@@ -148,7 +116,7 @@ def test_context_matches_direct_recount(c):
                 1 for u in range(c.N) if u != v and c.pair_color(u, v) is col
             )
             best = max(best, deg)
-    ctx = context_of(c, 1)
+    ctx = context_of(c)
     assert ctx.d == best
     wv, wc = ctx.d_witness
     assert c.degree(wv, wc) == best
@@ -156,12 +124,7 @@ def test_context_matches_direct_recount(c):
 
 @given(colorings())
 def test_context_invariant_under_swap(c):
-    assert context_of(c, 1).d == context_of(c.swap_colors(), 1).d
-
-
-def test_context_rejects_bad_n():
-    with pytest.raises(PreconditionViolated):
-        context_of(Coloring.complete(3, BLACK), 0)
+    assert context_of(c).d == context_of(c.swap_colors()).d
 
 
 @given(colorings())
@@ -171,12 +134,17 @@ def test_pair_bits_roundtrip(c):
 
 
 def test_constructor_validates_symmetry():
-    with pytest.raises(PreconditionViolated):
-        Coloring(2, (0b10, 0b00))
-    with pytest.raises(PreconditionViolated):
-        Coloring(2, (0b01, 0b01))
-    with pytest.raises(PreconditionViolated):
-        Coloring(0, ())
+    # the one checked way to hand-build a coloring names what it refuses
+    refused = [
+        (0, (), "need at least one vertex, got N=0"),
+        (2, (0,), "adjacency length does not match N"),
+        (2, (0b01, 0b01), "bad adjacency row for vertex 0"),
+        (2, (0b100, 0b00), "bad adjacency row for vertex 0"),
+        (2, (0b10, 0b00), "asymmetric adjacency 1,0"),
+    ]
+    for N, rows, message in refused:
+        with pytest.raises(PreconditionViolated, match=f"^{message}$"):
+            Coloring(N, rows)
 
 
 def test_vertex_sets_are_masks():
@@ -188,11 +156,10 @@ def test_vertex_sets_are_masks():
 
 def test_builders_match_checked_constructor():
     # every trusted builder against the validating constructor, which
-    # rejects asymmetric or diagonal bits: from_pair_bits, from_pair_list
-    # and parse_2col (upper rows into _from_digits) and parse_graph6
-    # (mirrored lower rows into _from_digits); pair_bits() against the
-    # int built pair by pair.  N = 1..40 covers the smallest triangles,
-    # 64 the long graph6 size prefix
+    # rejects asymmetric or diagonal bits: from_pair_bits and parse_2col
+    # (upper rows into _from_digits) and parse_graph6 (mirrored lower rows
+    # into _from_digits); pair_bits() against the int built pair by pair.
+    # N = 1..40 covers the smallest triangles, 64 the long graph6 size prefix
     for N in (*range(1, 41), 64, 118, 428):
         rng = random.Random(N)
         full = (1 << N) - 1
@@ -203,7 +170,6 @@ def test_builders_match_checked_constructor():
         }
         for name, upper in draws.items():
             adj = [0] * N
-            pairs = []
             pair_bits = 0
             k = 0
             for u in range(N):
@@ -213,13 +179,11 @@ def test_builders_match_checked_constructor():
                         adj[u] |= 1 << v
                         adj[v] |= 1 << u
                         pair_bits |= 1 << k
-                    pairs.append((u, v, BLACK if black else WHITE))
                     k += 1
             want = Coloring(N, tuple(adj))
             text = brute_graph6(N, lambda u, v: upper[u] >> v & 1)
             c = Coloring.from_pair_bits(N, pair_bits)
             assert c == want, (N, name)
-            assert Coloring.from_pair_list(N, pairs) == want, (N, name)
             assert parse_2col(write_2col(want)) == want, (N, name)
             assert parse_graph6(text) == want, (N, name)
             assert want.pair_bits() == pair_bits, (N, name)

@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import pytest
 
+from bruteforce import coloring_from_pairs
 from fanram import covering
 from fanram.bitset import bit_list, bits, lowest, mask_of
 from fanram.coloring import BLACK, WHITE, Coloring
@@ -42,7 +43,7 @@ def test_build_sc_rejects_low_degree():
         for v in range(u + 1, 6):
             black = u < 3 and v < 3
             pairs.append((u, v, BLACK if black else WHITE))
-    c = Coloring.from_pair_list(6, pairs)
+    c = coloring_from_pairs(6, pairs)
     with pytest.raises(PreconditionViolated):
         build_sc(c, CliqueWitness(BLACK, 0b111), 0, 1)
 

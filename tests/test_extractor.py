@@ -42,6 +42,16 @@ def test_extract_all_black_fast_mode():
     assert trace.labels() == ["fast"]
 
 
+def test_fast_mode_without_a_fan_is_unreachable(monkeypatch):
+    # find_mono_fan is exact, so a miss at N >= min_order(n) is a bug the
+    # case analysis must not hide behind another certificate
+    monkeypatch.setattr("fanram.extractor.find_mono_fan", lambda *a, **k: None)
+    with pytest.raises(UnreachableBranch) as exc:
+        extract_fan(Coloring.complete(46, BLACK), 6, mode="fast")
+    assert exc.value.label == "fast.no_fan"
+    assert exc.value.details == {"N": 46, "n": 6}
+
+
 def test_extract_all_black_faithful():
     c = Coloring.complete(46, BLACK)
     cert, trace = extract_fan(c, 6, mode="faithful")
@@ -60,7 +70,8 @@ def test_extract_rejects_small_order():
     c = Coloring.complete(45, BLACK)
     with pytest.raises(PreconditionViolated):
         extract_fan(c, 6)
-    with pytest.raises(PreconditionViolated):
+    # the one check of n: context_of takes only the coloring
+    with pytest.raises(PreconditionViolated, match="^fan parameter must be >= 1, got 0$"):
         extract_fan(Coloring.complete(46, BLACK), 0)
     with pytest.raises(PreconditionViolated):
         extract_fan(Coloring.complete(46, BLACK), 6, mode="bogus")
@@ -120,7 +131,7 @@ def test_fast_and_faithful_agree_on_existence():
 def test_mid_band_dispatch_on_regular_circulant():
     # all degrees 45/46 on 92 vertices: d = 46 sits inside the mid band
     c = circulant(92, list(range(1, 23)) + [46])
-    ctx = context_of(c, 15)
+    ctx = context_of(c)
     assert Fraction(8 * 15, 3) + 6 <= ctx.d < Fraction(11 * 15, 4) + 5
     cert, trace = extract_fan(c, 15, mode="faithful")
     assert verify_fan(c, cert)
@@ -129,7 +140,7 @@ def test_mid_band_dispatch_on_regular_circulant():
 
 def test_low_band_dispatch_on_regular_circulant():
     c = circulant(97, range(1, 25))
-    ctx = context_of(c, 16)
+    ctx = context_of(c)
     assert ctx.d < Fraction(8 * 16, 3) + 6
     cert, trace = extract_fan(c, 16, mode="faithful")
     assert verify_fan(c, cert)
@@ -146,7 +157,7 @@ def test_split_fixture_reaches_the_clique_branch(n, d, band):
     c = split_fixture(n, d)
     assert c.N == min_order(n)
     assert {c.degree(v, BLACK) for v in range(c.N)} == {d - 1, d}
-    assert context_of(c, n).d_witness == (0, BLACK)
+    assert context_of(c).d_witness == (0, BLACK)
     cert, trace = extract_fan(c, n, mode="faithful")
     assert verify_fan(c, cert)
     assert trace.labels() == ["context", f"{band}.search", "clique", "cover_fan"]

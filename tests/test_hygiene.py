@@ -10,7 +10,9 @@ k-matching question goes to maximum_matching_general from the two
 structure searches alone.  SplitMix64 is spelled once: its constants and
 its per-draw calls appear in rng.py and nowhere else in fanram.  A fan's
 blades are recorded in one place, _FanBuilder.add_edges.  errors.py has
-one class per kind of fault and nothing else.
+one class per kind of fault and nothing else.  Coloring(N, rows) is the
+one checked way to hand-build a coloring, and the test oracles build
+theirs through it rather than through the trusted transpose.
 """
 
 import ast
@@ -194,3 +196,28 @@ def test_one_error_class_per_kind_of_fault():
     tree = _tree(SRC / "errors.py")
     defined = {node.name for node in tree.body if isinstance(node, ast.ClassDef)}
     assert defined == ERROR_CLASSES
+
+
+def test_one_checked_constructor():
+    # from_pair_bits serves the parsers, generators and oracle and complete
+    # the one-color case; any other hand-built coloring goes through
+    # Coloring(N, rows), which checks the rows itself
+    tree = _tree(SRC / "coloring.py")
+    (cls,) = [
+        node
+        for node in tree.body
+        if isinstance(node, ast.ClassDef) and node.name == "Coloring"
+    ]
+    public = {
+        node.name
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef)
+        and not node.name.startswith("_")
+        and any(
+            isinstance(dec, ast.Name) and dec.id == "classmethod"
+            for dec in node.decorator_list
+        )
+    }
+    assert public == {"from_pair_bits", "complete"}
+    oracle = (Path(__file__).parent / "bruteforce.py").read_text(encoding="utf-8")
+    assert "from_pair_bits" not in oracle and "_from_digits" not in oracle

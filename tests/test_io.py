@@ -1,7 +1,7 @@
 import networkx as nx
 import pytest
 
-from bruteforce import brute_graph6
+from bruteforce import brute_graph6, coloring_from_pairs
 from fanram.coloring import BLACK, WHITE, Coloring
 from fanram.errors import ColoringFormatError
 from fanram.io import (
@@ -39,7 +39,7 @@ def test_2col_roundtrip():
 
 
 def test_2col_single_vertex():
-    c = Coloring.from_pair_list(1, [])
+    c = coloring_from_pairs(1, [])
     assert parse_2col(write_2col(c)) == c
 
 
@@ -135,6 +135,23 @@ def test_2col_huge_header_short_body():
         parse_2col(text)
     assert "only 1 of 4499998500000 pair entries" in str(exc.value)
     assert "first missing pair is (0,2)" in str(exc.value)
+
+
+@pytest.mark.parametrize("digits", [21, 4000, 5000])
+def test_2col_overlong_header_count(digits):
+    # int() stops at 4300 digits, and 4000 digits make an 8000-digit pair
+    # count to report; a count of more than 20 digits is refused first
+    message = f"^bad vertex count '9{{{digits}}}'"
+    with pytest.raises(ColoringFormatError, match=message) as exc:
+        parse_2col("p 2col " + "9" * digits + "\nB\n")
+    assert (exc.value.line, exc.value.offset) == (1, 0)
+
+
+def test_2col_twenty_digit_header_count():
+    # N = 10^19 still reads, and its 5e37 - 5e18 pairs are reported
+    need = "49999999999999999995" + "0" * 18
+    with pytest.raises(ColoringFormatError, match=f"^only 1 of {need} pair entries"):
+        parse_2col("p 2col 1" + "0" * 19 + "\nB\n")
 
 
 def test_graph6_against_networkx():
@@ -252,7 +269,7 @@ def test_2col_vertex_count_is_ascii_digits(count):
 
 
 def test_write_is_canonical():
-    c = Coloring.from_pair_list(
+    c = coloring_from_pairs(
         3, [(0, 1, BLACK), (0, 2, WHITE), (1, 2, BLACK)]
     )
     assert write_2col(c) == "p 2col 3\nBW\nB\n"

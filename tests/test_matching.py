@@ -3,7 +3,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bruteforce import brute_max_bipartite, brute_max_deficiency, brute_max_matching
+from bruteforce import (
+    brute_max_bipartite,
+    brute_max_deficiency,
+    brute_max_matching,
+    coloring_from_pairs,
+)
 from fanram.bitset import bits, mask_of
 from fanram.coloring import BLACK, WHITE, Coloring
 from fanram.errors import PreconditionViolated
@@ -26,7 +31,7 @@ def _pentagon():
         for u in range(5)
         for v in range(u + 1, 5)
     ]
-    return Coloring.from_pair_list(5, pairs)
+    return coloring_from_pairs(5, pairs)
 
 
 def test_greedy_all_black_k4():
@@ -60,7 +65,7 @@ def test_greedy_takes_lexicographically_smallest_edges():
         for u in range(10)
         for v in range(u + 1, 10)
     ]
-    c = Coloring.from_pair_list(10, cols)
+    c = coloring_from_pairs(10, cols)
     m = greedy_maximal_matching(c, BLACK, c.vertex_mask)
     assert m.edges == ((0, 9), (1, 2))
 
@@ -107,7 +112,7 @@ def _from_edges(N, edges):
         for u in range(N)
         for v in range(u + 1, N)
     ]
-    return Coloring.from_pair_list(N, pairs)
+    return coloring_from_pairs(N, pairs)
 
 
 def test_maximum_on_blossom_structures():
@@ -172,7 +177,7 @@ def test_greedy_maximum_ratio(c):
 
 
 def test_bipartite_examples():
-    c = Coloring.from_pair_list(
+    c = coloring_from_pairs(
         4,
         [
             (0, 1, WHITE),
@@ -228,7 +233,7 @@ def test_deficiency_star_example():
         for v in range(u + 1, 5):
             black = (u in (0, 1, 2) and v == 3)
             pairs.append((u, v, BLACK if black else WHITE))
-    c = Coloring.from_pair_list(5, pairs)
+    c = coloring_from_pairs(5, pairs)
     X, Y = 0b00111, 0b11000
     cert = max_deficiency_certificate(c, bipartite_maximum_matching(c, BLACK, X, Y), X, Y)
     assert cert.S == 0b00111

@@ -9,6 +9,7 @@ from bruteforce import (
     brute_clique_exists,
     brute_fan_exists,
     brute_fan_exists_enumerated,
+    coloring_from_pairs,
     reference_clique,
 )
 from fanram.bitset import bit_list, mask_of
@@ -61,7 +62,7 @@ def _pentagon():
         for u in range(5)
         for v in range(u + 1, 5)
     ]
-    return Coloring.from_pair_list(5, pairs)
+    return coloring_from_pairs(5, pairs)
 
 
 def _bipartite_blowup(half):
@@ -71,7 +72,7 @@ def _bipartite_blowup(half):
         for u in range(N)
         for v in range(u + 1, N)
     ]
-    return Coloring.from_pair_list(N, pairs)
+    return coloring_from_pairs(N, pairs)
 
 
 def test_verify_fan_valid():
@@ -86,7 +87,7 @@ def test_verify_fan_reports_recolored_blade():
         for u in range(5)
         for v in range(u + 1, 5)
     ]
-    c = Coloring.from_pair_list(5, pairs)
+    c = coloring_from_pairs(5, pairs)
     cert = FanCertificate(BLACK, 0, ((1, 2), (3, 4)), 2)
     msg = fan_violation(c, cert)
     assert msg is not None and "(1,2)" in msg and "white" in msg
@@ -343,7 +344,7 @@ def _split_instance(k, cross):
             else:
                 col = BLACK if cross(u, v - k) else WHITE
             pairs.append((u, v, col))
-    return Coloring.from_pair_list(N, pairs)
+    return coloring_from_pairs(N, pairs)
 
 
 def test_split_graph_fan_all_cross_black():
