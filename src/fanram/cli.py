@@ -7,8 +7,8 @@ extraction result, 2 usage, precondition or file format error, 3 an
 unreachable branch fired or an InternalError was raised (bug class).
 FANRAM_WORKERS caps the trial worker processes.
 trials and lowerbound refuse to generate a coloring of more than
-MAX_GENERATED_N vertices, and an integer flag of more than MAX_FLAG_DIGITS
-digits is a usage error.
+MAX_GENERATED_N vertices, trials refuses a --count above MAX_TRIAL_COUNT,
+and an integer flag of more than MAX_FLAG_DIGITS digits is a usage error.
 """
 
 from __future__ import annotations
@@ -54,6 +54,11 @@ EXIT_UNREACHABLE = 3
 # about 2.5x N = 1668, the largest order timed so far; a larger coloring
 # would take hours to generate or search, so it is refused up front
 MAX_GENERATED_N = 4096
+
+# trials holds every task and result in memory, so both grow with the
+# count: at n = 1 a batch this large took 10 s and 45 MB more memory in
+# one worker on a 2-core x86_64
+MAX_TRIAL_COUNT = 100_000
 
 
 @dataclass
@@ -283,6 +288,10 @@ def _worker_count() -> int:
 def _cmd_trials(args) -> CommandResult:
     if args.count < 1:
         raise PreconditionViolated("count must be positive")
+    if args.count > MAX_TRIAL_COUNT:
+        raise PreconditionViolated(
+            f"count {args.count} above the cap {MAX_TRIAL_COUNT}"
+        )
     if args.n < 1:
         raise PreconditionViolated(f"fan parameter must be >= 1, got {args.n}")
     _check_generated_order(min_order(args.n))

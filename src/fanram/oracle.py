@@ -7,18 +7,24 @@ so runs are deterministic.
 
 The exhaustive fan check does not walk every coloring.  Fan-freeness is
 hereditary, so it grows the fan-free colorings of K_N from those of K_1
-one vertex at a time, searching only the fans through the new vertex.
+one vertex at a time, testing only the fans through the new vertex.
 The new vertex takes the lowest pair bits, so each level comes out in
 ascending pair-bit order and the check reports the same examples, in the
-same order, as a walk over every coloring would.
+same order, as a walk over every coloring would.  No fan is searched
+while growing: each fan-free parent gets one table per color of the
+capped matching number of every subset of its vertices, and each way of
+joining the new vertex is decided by lookups in those tables (see
+_grow).  find_mono_fan then re-checks every reported example in both
+colors, independently of the tables.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .bitset import bits
 from .coloring import BLACK, WHITE, Coloring
-from .errors import PreconditionViolated
+from .errors import InternalError, PreconditionViolated
 from .io import write_2col
 from .rng import bits_below
 from .structures import find_mono_fan
@@ -73,7 +79,9 @@ def exhaustive_ramsey_check(N: int, n: int) -> EnumerationReport:
     the colorings decided, 2^(N(N-1)/2), not the candidates tested.  The
     fan-free colorings come out in ascending pair-bit order, as a walk
     over every coloring would meet them, so the first
-    FAN_FREE_EXAMPLE_CAP of them are the examples.
+    FAN_FREE_EXAMPLE_CAP of them are the examples.  Each example is
+    re-checked with find_mono_fan in both colors; a fan there raises
+    InternalError.
     """
     if n > 2:
         raise PreconditionViolated(f"exhaustive check capped at n=2, got n={n}")
@@ -88,14 +96,19 @@ def exhaustive_ramsey_check(N: int, n: int) -> EnumerationReport:
     level = [0]
     for m in range(2, N + 1):
         level = _grow(level, m, n)
+    examples = [Coloring.from_pair_bits(N, h) for h in level[:FAN_FREE_EXAMPLE_CAP]]
+    for c in examples:
+        for col in (BLACK, WHITE):
+            if find_mono_fan(c, col, n) is not None:
+                raise InternalError(
+                    f"grown coloring {c.pair_bits()} of K_{N} holds a {col.value} fan"
+                )
     return EnumerationReport(
         N=N,
         n=n,
         total=1 << N * (N - 1) // 2,
         all_contain=not level,
-        fan_free_examples=[
-            Coloring.from_pair_bits(N, h) for h in level[:FAN_FREE_EXAMPLE_CAP]
-        ],
+        fan_free_examples=examples,
     )
 
 
@@ -108,28 +121,71 @@ def _grow(level: list[int], m: int, n: int) -> list[int]:
     a new vertex 0 whose pairs (0, v) are the bits r: the candidate
     h << (m-1) | r, since those pairs are the lowest m-1 bits of the
     canonical order.  Ascending h, then r, gives ascending candidates.
-    As h is fan-free, a fan in the candidate passes through vertex 0: it
-    is centred at 0 or at a neighbour of 0 in the fan's color, and only
-    those centers are searched.
+
+    Each candidate is decided from tables built once per parent h, in h's
+    numbering, where r is the new vertex's black neighbourhood.  A fan in
+    the candidate passes through vertex 0, as h is fan-free.  Centred at
+    0 it is an n-matching in r (black) or in its complement (white).
+    Centred at a parent vertex u, 0 and u share the fan's color; as
+    N_col(u) holds no n-matching, the fan pairs 0 with some x in N_col(u)
+    that 0 also sees in col, and the other blades are an (n-1)-matching
+    in N_col(u) - x.  So with nu the capped matching numbers of each
+    color and mask[u] the x in N_col(u) with nu(N_col(u) - x) >= n - 1,
+    the candidate is fan-free iff both centre-0 tests fail and r misses
+    black_mask[u] for each u in r, its complement white_mask[u] for the
+    other u.
     """
-    width = m - 1
-    full = (1 << m) - 1
+    w = m - 1
+    full = (1 << w) - 1
     out = []
     for h in level:
-        sub = Coloring.from_pair_bits(width, h)
-        shifted = [sub.neighborhood(v, BLACK) << 1 for v in range(width)]
-        base = h << width
-        for r in range(1 << width):
-            black0 = r << 1
-            c = Coloring._raw(
-                m, (black0, *[row | r >> v & 1 for v, row in enumerate(shifted)])
-            )
-            if (
-                find_mono_fan(c, BLACK, n, centers=1 | black0) is None
-                and find_mono_fan(c, WHITE, n, centers=full ^ black0) is None
+        black = Coloring.from_pair_bits(w, h)._black
+        white = [full ^ row ^ 1 << v for v, row in enumerate(black)]
+        tables = []
+        for rows in (black, white):
+            nu = _matching_numbers(rows, w, n)
+            masks = [
+                sum(1 << x for x in bits(row) if nu[row ^ 1 << x] >= n - 1)
+                for row in rows
+            ]
+            tables.append((nu, masks))
+        (nu_b, mask_b), (nu_w, mask_w) = tables
+        base = h << w
+        for r in range(1 << w):
+            rest = full ^ r
+            if nu_b[r] < n and nu_w[rest] < n and not any(
+                r & mask_b[u] if r >> u & 1 else rest & mask_w[u]
+                for u in range(w)
             ):
                 out.append(base | r)
     return out
+
+
+def _matching_numbers(rows, w: int, cap: int) -> list[int]:
+    """min(cap, nu(S)) for every subset S of [0, w), indexed by S, where
+    nu is the matching number of the graph with neighbourhoods rows.
+
+    With v the lowest vertex of S and rest = S - v, a maximum matching of
+    S leaves v out or pairs it with some u in N(v) & rest, so
+    nu(S) = max(nu(rest), 1 + nu(rest - u)).  As nu(rest - u) <= nu(rest),
+    that is nu(rest) + 1 exactly when some such u has
+    nu(rest - u) = nu(rest).
+    """
+    nu = [0] * (1 << w)
+    for S in range(1, 1 << w):
+        low = S & -S
+        rest = S ^ low
+        k = nu[rest]
+        if k < cap:
+            nb = rows[low.bit_length() - 1] & rest
+            while nb:
+                u = nb & -nb
+                if nu[rest ^ u] == k:
+                    k += 1
+                    break
+                nb ^= u
+        nu[S] = k
+    return nu
 
 
 def _cross_rows(N: int, k: int) -> tuple[int, ...]:

@@ -7,7 +7,9 @@ seeded colorings by deciding one pair per SplitMix64 draw and setting
 both rows of each black pair for the checked constructor, and graph6
 text by writing one digit per pair.  reference_clique is the clique
 search as it stood before its coloring bound, kept as the witness the
-bounded search must reproduce.
+bounded search must reproduce.  reference_grow is the oracle's growth
+step as it stood before its matching-number tables, two find_mono_fan
+searches per candidate, kept as the levels the tables must reproduce.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from itertools import combinations
 from fanram.bitset import bit_list, bits, lowest
 from fanram.coloring import BLACK, WHITE, Coloring
 from fanram.rng import SplitMix64
+from fanram.structures import find_mono_fan
 
 
 def brute_max_matching(c: Coloring, col, scope: int) -> int:
@@ -138,6 +141,37 @@ def reference_clique(c: Coloring, col, size: int, scope: int) -> int | None:
 
     found = expand([], scope)
     return None if found is None else sum(1 << v for v in found)
+
+
+def reference_grow(level: list[int], m: int, n: int) -> list[int]:
+    """Pair bits of the fan-free colorings of K_m, ascending, from those
+    of K_{m-1} (level, ascending): each h in level renumbered up by one,
+    plus a new vertex 0 joined in black to the bits r of each candidate
+    h << (m-1) | r.  As h is fan-free, a fan in the candidate is centred
+    at 0 or at a neighbour of 0 in the fan's color, and only those
+    centres are searched."""
+    width = m - 1
+    full = (1 << m) - 1
+    pairs = [(u, v) for u in range(width) for v in range(u + 1, width)]
+    out = []
+    for h in level:
+        sub = coloring_from_pairs(
+            width,
+            [(u, v, BLACK if h >> k & 1 else WHITE) for k, (u, v) in enumerate(pairs)],
+        )
+        shifted = [sub.neighborhood(v, BLACK) << 1 for v in range(width)]
+        base = h << width
+        for r in range(1 << width):
+            black0 = r << 1
+            c = Coloring(
+                m, (black0, *[row | r >> v & 1 for v, row in enumerate(shifted)])
+            )
+            if (
+                find_mono_fan(c, BLACK, n, centers=1 | black0) is None
+                and find_mono_fan(c, WHITE, n, centers=full ^ black0) is None
+            ):
+                out.append(base | r)
+    return out
 
 
 def coloring_from_pairs(N: int, pairs) -> Coloring:

@@ -7,7 +7,8 @@ from pathlib import Path
 import networkx as nx
 import pytest
 
-from fanram.cli import _worker_count, main, run
+from fanram import cli
+from fanram.cli import MAX_TRIAL_COUNT, _worker_count, main, run
 from fanram.coloring import BLACK, Coloring
 from fanram.io import save_2col
 from gadgets import cover_gadget
@@ -24,6 +25,35 @@ def test_oracle_ramsey_six(capsys):
     res = run(["oracle", "ramsey", "--N", "6", "--n", "1"])
     assert res.exit_code == 0
     assert res.payload["all_contain"] is True
+
+
+# `oracle ramsey --N 7 --n 2` as the growth by two fan searches per
+# candidate printed it, byte for byte
+ORACLE_7_2 = """\
+{
+  "N": 7,
+  "all_contain": false,
+  "fan_free_examples": [
+    "p 2col 7 WWBBWB BBBBW BBBW WWW WW W",
+    "p 2col 7 WWBWBB BBBBW BBBW WWW WW W",
+    "p 2col 7 WWWBBB BBBBW BBBW WWW WW W",
+    "p 2col 7 WWBBBB BBBBW BBBW WWW WW W",
+    "p 2col 7 WBBBBW WBBWB BBBW WWW WW W",
+    "p 2col 7 BWBBWB WBBWB BBBW WWW WW W",
+    "p 2col 7 WWBWBB WBBWB BBBW WWW WW W",
+    "p 2col 7 BWBWBB WBBWB BBBW WWW WW W",
+    "p 2col 7 WBBWBB WBBWB BBBW WWW WW W",
+    "p 2col 7 WWWBBB WBBWB BBBW WWW WW W"
+  ],
+  "n": 2,
+  "total": 2097152
+}
+"""
+
+
+def test_oracle_ramsey_seven_two_is_frozen(capsys):
+    assert main(["oracle", "ramsey", "--N", "7", "--n", "2"]) == 0
+    assert capsys.readouterr().out == ORACLE_7_2
 
 
 def test_oracle_ramsey_five_negative_is_still_report():
@@ -367,6 +397,27 @@ def test_trials_rejects_nonpositive_n(monkeypatch):
         res = run(["trials", "--n", n, "--count", "2"])
         assert res.exit_code == 2
         assert res.payload["message"] == f"fan parameter must be >= 1, got {n}"
+
+
+def test_trials_count_cap(monkeypatch):
+    monkeypatch.setenv("FANRAM_WORKERS", "1")
+    ran = []
+
+    def stub(task):
+        ran.append(task)
+        return {"family": task[0], "ok": True, "labels": [], "seed": task[-1]}
+
+    monkeypatch.setattr(cli, "_run_trial", stub)
+    at_cap = run(["trials", "--n", "1", "--count", str(MAX_TRIAL_COUNT)])
+    assert at_cap.exit_code == 0 and len(ran) == MAX_TRIAL_COUNT
+    ran.clear()
+    for count in (MAX_TRIAL_COUNT + 1, 10**19):
+        res = run(["trials", "--n", "1", "--count", str(count)])
+        assert res.exit_code == 2 and res.payload["error"] == "precondition"
+        assert res.payload["message"] == (
+            f"count {count} above the cap {MAX_TRIAL_COUNT}"
+        )
+    assert not ran
 
 
 @pytest.mark.parametrize(

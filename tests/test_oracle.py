@@ -9,14 +9,18 @@ from bruteforce import (
     brute_adversarial_coloring,
     brute_fan_exists,
     brute_random_coloring,
+    reference_grow,
 )
+from fanram import oracle
 from fanram.cli import _TRIAL_FAMILIES, trial_coloring
 from fanram.coloring import BLACK, WHITE, Coloring
-from fanram.errors import PreconditionViolated
+from fanram.errors import InternalError, PreconditionViolated
+from fanram.matching import maximum_matching_general
 from fanram.oracle import (
     FAN_FREE_EXAMPLE_CAP,
     EnumerationReport,
     _grow,
+    _matching_numbers,
     adversarial_coloring,
     bipartite_lower_bound,
     enumerate_colorings,
@@ -81,12 +85,41 @@ def _grown_levels(N, n):
     return levels
 
 
-# fan-free colorings of K_1, ..., K_6, counted per level of the growth
+# fan-free labelled colorings of K_1, ..., K_7, counted per level of the
+# growth
 @pytest.mark.parametrize(
-    "n, counts", [(1, [1, 2, 6, 18, 12, 0]), (2, [1, 2, 8, 64, 762, 8480])]
+    "n, counts",
+    [(1, [1, 2, 6, 18, 12, 0, 0]), (2, [1, 2, 8, 64, 762, 8480, 65800])],
 )
 def test_grown_level_counts_are_frozen(n, counts):
-    assert [len(level) for level in _grown_levels(6, n)] == counts
+    assert [len(level) for level in _grown_levels(7, n)] == counts
+
+
+# (7, 2) is left out: the reference takes about 9 s there
+@pytest.mark.parametrize("N, n", [(6, 1), (6, 2), (7, 1)])
+def test_grow_matches_reference(N, n):
+    levels = _grown_levels(N, n)
+    for m in range(2, N + 1):
+        assert levels[m - 1] == reference_grow(levels[m - 2], m, n)
+
+
+@given(colorings(max_n=6), st.integers(1, 3))
+def test_matching_numbers_match_blossom(c, cap):
+    for col in (BLACK, WHITE):
+        rows = [c.neighborhood(v, col) for v in range(c.N)]
+        nu = _matching_numbers(rows, c.N, cap)
+        assert nu == [
+            min(cap, maximum_matching_general(c, col, S).size)
+            for S in range(1 << c.N)
+        ]
+
+
+@pytest.mark.parametrize("h, col", [(0b111, "black"), (0, "white")])
+def test_grown_examples_are_rechecked(monkeypatch, h, col):
+    # a growth step that lets a monochromatic triangle through
+    monkeypatch.setattr(oracle, "_grow", lambda level, m, n: [h])
+    with pytest.raises(InternalError, match=f"holds a {col} fan"):
+        exhaustive_ramsey_check(3, 1)
 
 
 def _brute_force(N, n):
